@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke bench bench-repl bench-mvcc bench-seq bench-ops ci
+.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke benchmark-smoke bench bench-repl bench-mvcc bench-seq bench-ops ci
 
 build:
 	$(GO) build ./...
@@ -118,7 +118,7 @@ seq-smoke:
 	$(GO) test ./internal/server/ -run TestSeqSmoke -v
 
 # Typed-operations smoke: the commutativity-aware ops surface end to
-# end — wire/engine/registry kind parity, the Limits-of-boosting
+# end — the one kind enum's names, the Limits-of-boosting
 # boundary table (partial ops abort, total ops commit concurrently
 # with commute hits), a typed wire campaign recovered byte-identically
 # from its logical-op WAL, the follower fold reaching the same bytes
@@ -126,9 +126,16 @@ seq-smoke:
 ops-smoke:
 	$(GO) test ./internal/ops/ -v
 	$(GO) test ./internal/stm/boost/ -run 'TestLimitsBoundary|TestTotalOpsCommitConcurrently|TestEscrowGuardSpansHolders' -v
-	$(GO) test ./internal/server/ -run 'TestShardKindsMatchWire|TestOpsSmoke|TestOpsFollowerFold' -v
+	$(GO) test ./internal/server/ -run 'TestOpsSmoke|TestOpsFollowerFold' -v
 	$(GO) test -race ./internal/obs/metrics/ -run TestTypedCountersSnapshotConsistency -v
 	$(GO) test ./internal/bench/ -run 'TestOpsBenchSmoke|TestParseOpMixRejectsUnknown' -v
+
+# The benchmark is a module of its own (benchmark/, replaced onto this
+# one), so `go build ./... && go test ./...` never sees it: this is what
+# notices a root change that breaks its build, its smoke-size runs of
+# every workload, or the symbols TestAPISurface pins.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -159,4 +166,4 @@ bench-ops:
 	$(GO) run ./cmd/pushpull-hot -json > BENCH_ops.json
 	@cat BENCH_ops.json
 
-ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke
+ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke benchmark-smoke

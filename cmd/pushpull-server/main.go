@@ -5,11 +5,11 @@
 //	pushpull-server -addr :7070 -http :7071 -substrate tl2 -wal-dir ./wal
 //
 // Every client transaction runs as a certified Push/Pull transaction on
-// the chosen substrate. With -wal-dir the server is crash-durable: on
-// boot it replays the previous epoch's segments, refuses to serve
-// unless the committed prefix re-certifies, archives them, and
-// re-checkpoints the recovered state into a fresh log before the
-// listener opens. -chaos-rate and -crash-at inject server-side faults
+// the chosen substrate, through one shard.Engine of -shards partitions
+// (default 1). With -wal-dir the server is crash-durable: on boot the
+// engine replays the previous epoch's logs, refuses to serve unless the
+// committed prefix re-certifies, archives them, and re-checkpoints the
+// recovered state into fresh logs before the listener opens. -chaos-rate and -crash-at inject server-side faults
 // (the same plans the chaos harnesses replay).
 //
 // SIGINT/SIGTERM shut down gracefully: open transactions abort, the
@@ -24,6 +24,7 @@ import (
 	"strings"
 	"syscall"
 
+	"pushpull/internal/backend"
 	"pushpull/internal/chaos"
 	"pushpull/internal/server"
 	"pushpull/internal/wal"
@@ -33,9 +34,9 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "binary-protocol listen address")
 	httpAddr := flag.String("http", "", "JSON/HTTP listen address (empty disables)")
 	substrate := flag.String("substrate", "tl2",
-		"TM substrate: "+strings.Join(server.Substrates(), " | "))
+		"TM substrate: "+strings.Join(backend.Substrates(), " | "))
 	keys := flag.Int("keys", 64, "word-substrate key range (restart must reuse it)")
-	shards := flag.Int("shards", 1, "hash partitions; > 1 serves through the sharded engine (restart must reuse it)")
+	shards := flag.Int("shards", 1, "hash partitions of the engine (restart must reuse it)")
 	seqMode := flag.Bool("seq", false, "commit cross-shard transactions through the deterministic sequencer (one forced batch record per epoch) instead of the coordinator mutex")
 	batchInterval := flag.Duration("batch-interval", 0, "sequencer accumulation window under -seq (0 = adaptive group commit)")
 	seed := flag.Int64("seed", 1, "retry/chaos seed")
@@ -82,10 +83,6 @@ func main() {
 	s, err := server.New(opts)
 	if err != nil {
 		fail(err)
-	}
-	if rep := s.Recovered(); len(rep.State.Txns) > 0 {
-		fmt.Printf("recovered %d certified transaction(s) from the previous epoch (truncated=%v discarded=%d)\n",
-			len(rep.State.Txns), rep.Truncated, rep.Discarded)
 	}
 	if rep := s.ShardRecovered(); rep.RecoveredTxns() > 0 || rep.InDoubtResolved > 0 {
 		fmt.Printf("recovered %d certified transaction(s) across %d shard log(s); %d in-doubt cross-shard commit(s) rolled forward, %d left in doubt\n",

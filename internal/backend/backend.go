@@ -9,10 +9,10 @@
 // incrementing a commit counter word — the Section 7 shape, giving
 // smoke tests a cross-substrate conservation invariant.
 //
-// Both the single-machine server (internal/server) and the sharded
-// engine (internal/shard, one backend per shard) build on this
-// package; group.go's GroupCommit batches WAL commit barriers across
-// concurrent committers for either.
+// The engine (internal/shard) builds one backend per shard on this
+// package — the only thing the server serves through; group.go's
+// GroupCommit batches each shard's WAL commit barriers across
+// concurrent committers.
 package backend
 
 import (

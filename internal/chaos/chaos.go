@@ -190,11 +190,17 @@ func (p Plan) WithCrash(n uint64, mode CrashMode) Plan {
 // shards' fault streams are independent but the whole sharded run stays
 // reproducible from one printed seed. A scheduled WAL crash is kept on
 // exactly one seed-chosen shard — a process dies once, not once per
-// shard — and the engine propagates that death to the other logs.
+// shard — and the engine propagates that death to the other logs. With
+// one shard the plan is returned unchanged: a 1-shard engine is the
+// plain single-machine server, and a seeded crash schedule must mean
+// the same run there as it does on a bare backend.
 func (p Plan) ForShard(i, n int) Plan {
+	if n <= 1 {
+		return p
+	}
 	q := p
 	q.Seed = int64(uint64(p.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca6b + 1)
-	if p.CrashAppend > 0 && n > 1 {
+	if p.CrashAppend > 0 {
 		target := int(Hash01(p.Seed, "shard/crashpick", 0) * float64(n))
 		if target >= n {
 			target = n - 1

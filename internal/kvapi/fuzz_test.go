@@ -3,6 +3,8 @@ package kvapi
 import (
 	"reflect"
 	"testing"
+
+	"pushpull/internal/ops"
 )
 
 // FuzzDecodeRequest asserts request decoding is total (no panics, no
@@ -38,7 +40,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{byte(MsgTxn), 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(AppendRequest(nil, seeds[1])[:5])
 	// One past the last known kind: must stay a total-decode error.
-	f.Add([]byte{byte(MsgTxn), 1, byte(opKindCount), 3, 0, 0, 0})
+	f.Add([]byte{byte(MsgTxn), 1, byte(ops.NumCodes), 3, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)

@@ -1,6 +1,10 @@
 package kvapi
 
-import "fmt"
+import (
+	"fmt"
+
+	"pushpull/internal/ops"
+)
 
 // This file is the JSON mirror of the binary protocol, used by the
 // server's HTTP fallback (POST /txn) so a transaction can be submitted
@@ -51,25 +55,15 @@ type ResultJSON struct {
 
 // WireOps converts the JSON form to wire ops, validating op names.
 func (r TxnRequestJSON) WireOps() ([]Op, error) {
-	ops := make([]Op, 0, len(r.Ops))
+	out := make([]Op, 0, len(r.Ops))
 	for i, o := range r.Ops {
-		kind, ok := opKindByName(o.Op)
+		d, ok := ops.ByName(o.Op)
 		if !ok {
 			return nil, fmt.Errorf("kvapi: op %d: unknown op %q (want get|put|incr|cget|wd|cas|sadd|srem|scont|qpush|qpop)", i, o.Op)
 		}
-		ops = append(ops, Op{Kind: kind, Key: o.Key, Val: o.Val, Arg: o.Arg})
+		out = append(out, Op{Kind: d.Code, Key: o.Key, Val: o.Val, Arg: o.Arg})
 	}
-	return ops, nil
-}
-
-// opKindByName inverts OpKind.String for the JSON mirror and -op-mix.
-func opKindByName(name string) (OpKind, bool) {
-	for k := OpKind(0); k < opKindCount; k++ {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
+	return out, nil
 }
 
 // ToJSON converts a wire response to its JSON mirror.

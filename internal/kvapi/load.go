@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"pushpull/internal/ops"
 	"pushpull/internal/shard"
 )
 
@@ -78,7 +79,7 @@ func ParseOpMix(s string) ([]OpMixEntry, error) {
 		if !ok {
 			return nil, fmt.Errorf("kvapi: op-mix entry %q: want name:weight", part)
 		}
-		kind, known := opKindByName(strings.TrimSpace(name))
+		d, known := ops.ByName(strings.TrimSpace(name))
 		if !known {
 			return nil, fmt.Errorf("kvapi: op-mix entry %q: unknown op %q", part, name)
 		}
@@ -86,7 +87,7 @@ func ParseOpMix(s string) ([]OpMixEntry, error) {
 		if err != nil || w <= 0 {
 			return nil, fmt.Errorf("kvapi: op-mix entry %q: bad weight", part)
 		}
-		mix = append(mix, OpMixEntry{Kind: kind, Weight: w})
+		mix = append(mix, OpMixEntry{Kind: d.Code, Weight: w})
 	}
 	return mix, nil
 }

@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"pushpull/internal/ops"
 )
 
 // MsgType discriminates request messages.
@@ -77,70 +79,38 @@ func (t MsgType) String() string {
 	}
 }
 
-// OpKind discriminates operations inside a MsgTxn. Kinds ≥ OpAdd are
-// the typed operations of internal/ops (the numeric values match
-// ops.Code exactly); they execute against the typed "ops" keyspace,
+// OpKind discriminates operations inside a MsgTxn: it is ops.Code,
+// whose value is the wire byte. Kinds ≥ OpAdd are the typed operations
+// of internal/ops; they execute against the typed "ops" keyspace,
 // disjoint from the blind GET/PUT map — get k and cget k are different
 // cells.
-type OpKind byte
+type OpKind = ops.Code
 
 // Operation kinds.
 const (
-	OpGet OpKind = iota
-	OpPut
+	OpGet = ops.Get
+	OpPut = ops.Put
 	// OpAdd: add Val to counter Key (INCR is Val=1); returns 0.
-	OpAdd
+	OpAdd = ops.Add
 	// OpCGet: read counter Key.
-	OpCGet
+	OpCGet = ops.CGet
 	// OpWd: withdraw Val from counter Key; aborts (after retries) while
 	// the balance is below Val — the partial-operation boundary.
-	OpWd
+	OpWd = ops.Wd
 	// OpCAS: compare-and-set counter Key from Val (expect) to Arg
 	// (new); returns the old value. The non-commuting control.
-	OpCAS
+	OpCAS = ops.CAS
 	// OpSAdd: blind-insert member Val into set Key; returns 0.
-	OpSAdd
+	OpSAdd = ops.SAdd
 	// OpSRem: blind-remove member Val from set Key; returns 0.
-	OpSRem
+	OpSRem = ops.SRem
 	// OpSCont: membership of Val in set Key (1/0).
-	OpSCont
+	OpSCont = ops.SCont
 	// OpQPush: enqueue Val onto queue Key; returns 0.
-	OpQPush
+	OpQPush = ops.QPush
 	// OpQPop: dequeue the front of queue Key; aborts while empty.
-	OpQPop
-
-	// opKindCount bounds the kind space for total decoding.
-	opKindCount
+	OpQPop = ops.QPop
 )
-
-func (k OpKind) String() string {
-	switch k {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpAdd:
-		return "incr"
-	case OpCGet:
-		return "cget"
-	case OpWd:
-		return "wd"
-	case OpCAS:
-		return "cas"
-	case OpSAdd:
-		return "sadd"
-	case OpSRem:
-		return "srem"
-	case OpSCont:
-		return "scont"
-	case OpQPush:
-		return "qpush"
-	case OpQPop:
-		return "qpop"
-	default:
-		return fmt.Sprintf("op(%d)", byte(k))
-	}
-}
 
 // opVals is each kind's payload operand count after the key: Val, then
 // Arg. Only OpCAS carries two (Val=expect, Arg=new).
@@ -155,13 +125,9 @@ func opVals(k OpKind) int {
 	}
 }
 
-// Op is one KV operation.
-type Op struct {
-	Kind OpKind
-	Key  uint64
-	Val  int64 // first operand (put value, delta, member, expect, ...)
-	Arg  int64 // second operand (OpCAS: the new value)
-}
+// Op is one KV operation (Val: put value, delta, member, expect, ...;
+// Arg: OpCAS's new value) — the engine executes the decoded value as is.
+type Op = ops.Op
 
 // Request is one client message.
 type Request struct {
@@ -376,7 +342,7 @@ func DecodeRequest(b []byte) (Request, error) {
 			}
 			op := Op{Kind: OpKind(b[0])}
 			b = b[1:]
-			if op.Kind >= opKindCount {
+			if op.Kind >= ops.NumCodes {
 				return r, fmt.Errorf("kvapi: unknown op kind %d", op.Kind)
 			}
 			if op.Key, b, err = takeUvarint(b); err != nil {

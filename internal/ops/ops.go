@@ -1,9 +1,9 @@
 // Package ops is the typed-operation registry: the single table that
-// binds every typed wire operation (kvapi OpKind) to its sequential
-// specification method on adt.TypedKV, its commutativity class (the
-// abstract-lock sharing ticket realizing the ADT's mover oracle), its
-// inverse story for abort rewind, and its logical journal effect for
-// cross-shard write-sets.
+// binds every wire operation kind (Code — kvapi.OpKind and shard.OpKind
+// are aliases of it) to its sequential specification method on
+// adt.TypedKV, its commutativity class (the abstract-lock sharing
+// ticket realizing the ADT's mover oracle), its inverse story for abort
+// rewind, and its logical journal effect for cross-shard write-sets.
 //
 // The Push/Pull payoff this package carries to the wire: two
 // unit-returning increments of one hot counter COMMUTE — the boosted
@@ -17,13 +17,16 @@
 package ops
 
 import (
+	"fmt"
+
 	"pushpull/internal/adt"
 	"pushpull/internal/spec"
 )
 
-// Code identifies one wire operation. Values are the kvapi.OpKind wire
-// encoding verbatim (asserted by a cross-package test) so servers and
-// shard routers convert by value, without a mapping table.
+// Code identifies one operation kind. It is the one declaration of the
+// enum: the value is the wire byte, and the wire (kvapi.OpKind) and the
+// engine (shard.OpKind) name this same type, so an operation crosses
+// every layer without a conversion.
 type Code uint8
 
 const (
@@ -141,6 +144,24 @@ func ByName(name string) (Desc, bool) {
 
 // Typed reports whether the code is a typed (non Get/Put) operation.
 func (c Code) Typed() bool { return c >= Add && c < NumCodes }
+
+// String is the operation's registry name ("incr", "cget", ...).
+func (c Code) String() string {
+	if d, ok := ByCode(c); ok {
+		return d.Name
+	}
+	return fmt.Sprintf("op(%d)", uint8(c))
+}
+
+// Op is one KV operation, the same value on the wire and in the
+// engine. Val is the first operand (put value, delta, member, CAS
+// expect), Arg the second (CAS: the new value).
+type Op struct {
+	Kind Code
+	Key  uint64
+	Val  int64
+	Arg  int64
+}
 
 // Table lists every descriptor, code-ascending.
 func Table() []Desc {

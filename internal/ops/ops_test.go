@@ -4,39 +4,28 @@ import (
 	"testing"
 
 	"pushpull/internal/adt"
-	"pushpull/internal/kvapi"
 	"pushpull/internal/ops"
 	"pushpull/internal/spec"
 )
 
-// TestCodesMatchWire pins the ops.Code values to the kvapi.OpKind wire
-// encoding: servers and shard routers convert between them by cast, so
-// a divergence would silently re-type every operation on the wire.
-func TestCodesMatchWire(t *testing.T) {
-	pairs := []struct {
-		code ops.Code
-		kind kvapi.OpKind
-	}{
-		{ops.Get, kvapi.OpGet},
-		{ops.Put, kvapi.OpPut},
-		{ops.Add, kvapi.OpAdd},
-		{ops.CGet, kvapi.OpCGet},
-		{ops.Wd, kvapi.OpWd},
-		{ops.CAS, kvapi.OpCAS},
-		{ops.SAdd, kvapi.OpSAdd},
-		{ops.SRem, kvapi.OpSRem},
-		{ops.SCont, kvapi.OpSCont},
-		{ops.QPush, kvapi.OpQPush},
-		{ops.QPop, kvapi.OpQPop},
-	}
-	if len(pairs) != ops.NumCodes {
-		t.Fatalf("table covers %d codes, NumCodes=%d", len(pairs), ops.NumCodes)
-	}
-	for _, p := range pairs {
-		if uint8(p.code) != uint8(p.kind) {
-			t.Errorf("ops.Code %d (%s) != kvapi.OpKind %d (%s)",
-				p.code, mustDesc(t, p.code).Name, p.kind, p.kind)
+// TestCodeNames pins the one enum's surface: every code's String is its
+// registry name and resolves back through ByName (the JSON mirror and
+// -op-mix parse by it), Typed splits exactly at Add, and a value past
+// the table stays printable and unresolvable — what keeps the wire
+// decoder's unknown-kind path an error rather than a panic.
+func TestCodeNames(t *testing.T) {
+	for c := ops.Code(0); c < ops.NumCodes; c++ {
+		d, ok := ops.ByName(c.String())
+		if !ok || d.Code != c {
+			t.Errorf("code %d: ByName(%q) = (%d, %v)", c, c.String(), d.Code, ok)
 		}
+		if c.Typed() != (c >= ops.Add) {
+			t.Errorf("code %d (%s): Typed() = %v", c, c, c.Typed())
+		}
+	}
+	past := ops.Code(ops.NumCodes)
+	if _, ok := ops.ByCode(past); ok || past.Typed() || past.String() != "op(11)" {
+		t.Errorf("code past the table: ByCode ok=%v Typed=%v String=%q", ok, past.Typed(), past.String())
 	}
 }
 

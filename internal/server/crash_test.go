@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"pushpull/internal/backend"
 	"pushpull/internal/chaos"
 	"pushpull/internal/kvapi"
 	"pushpull/internal/wal"
@@ -15,7 +16,7 @@ import (
 // (c) the restarted server serves new traffic and still certifies.
 // Table over every substrate.
 func TestServerCrashRestart(t *testing.T) {
-	for _, sub := range Substrates() {
+	for _, sub := range backend.Substrates() {
 		sub := sub
 		t.Run(sub, func(t *testing.T) {
 			plan := chaos.NewPlan(42).WithCrash(25, chaos.CrashClean)
@@ -60,7 +61,7 @@ func TestServerCrashRestart(t *testing.T) {
 			if len(durable) == 0 {
 				t.Fatal("crash fired before any transaction became durable; lower the crash point")
 			}
-			segs := s1.WALSegments()
+			img := s1.ShardImage()
 			c.Close()
 			s1.Stop()
 			if err := s1.LeakCheck(); err != nil {
@@ -73,20 +74,20 @@ func TestServerCrashRestart(t *testing.T) {
 			s2, err := New(Options{
 				Substrate: sub, Keys: 64, Seed: 42,
 				Durable: true, SyncPolicy: wal.SyncEveryRecord,
-				RecoverFrom: segs,
+				RecoverFrom: img,
 			})
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
-			rep := s2.Recovered()
-			if len(rep.State.Txns) == 0 {
+			rep := s2.ShardRecovered()
+			if rep.RecoveredTxns() == 0 {
 				t.Fatal("restart recovered no transactions")
 			}
-			if s2.seeded == 0 {
+			if s2.Stats().SeededTxns == 0 {
 				t.Fatal("recovered state was not re-seeded")
 			}
 			// The recovered fold must cover every acknowledged-durable key.
-			fold := FoldKV(rep.State, sub)
+			fold := backend.FoldKV(rep.Shards[0].State, sub)
 			for k, v := range durable {
 				if got, ok := fold[k]; !ok || got != v {
 					t.Fatalf("recovered image: key %d = (%d, %v), want (%d, true)", k, got, ok, v)
@@ -175,7 +176,7 @@ func TestServerCrashRestartOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart from dir: %v", err)
 	}
-	if len(s2.Recovered().State.Txns) == 0 {
+	if s2.ShardRecovered().RecoveredTxns() == 0 {
 		t.Fatal("nothing recovered from disk")
 	}
 	for k, v := range durable {

@@ -1,14 +1,16 @@
 package server
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"pushpull/internal/kvapi"
 	"pushpull/internal/wal"
 )
 
 // TestServerSessionDedupSurvivesRestart pins exactly-once on the
-// single-machine server path: a settled sessioned request is answered
+// 1-shard server: a settled sessioned request is answered
 // from the dedup table after a full WAL-image restart — the TSession
 // record rides the same durability barrier as its commit — and the
 // table carries across a SECOND restart because the boot re-logs it as
@@ -48,12 +50,12 @@ func TestServerSessionDedupSurvivesRestart(t *testing.T) {
 
 	restart := func(from *Server) *Server {
 		t.Helper()
-		segs := from.WALSegments()
+		img := from.ShardImage()
 		from.Stop()
 		s, err := New(Options{
 			Substrate: "tl2", Keys: 32, Seed: 42,
 			Durable: true, SyncPolicy: wal.SyncEveryRecord,
-			RecoverFrom: segs,
+			RecoverFrom: img,
 		})
 		if err != nil {
 			t.Fatalf("restart: %v", err)
@@ -92,5 +94,53 @@ func TestServerSessionDedupSurvivesRestart(t *testing.T) {
 		// Second hop: surviving a restart OF the restart only works if
 		// the boot checkpointed the table onto the fresh timeline.
 		s = restart(s)
+	}
+}
+
+// TestLeaseGatesOneShardServer: an unsharded, unreplicated server with
+// a lease configured answers through the same ack gate as every other
+// shape. Once the granted lease has expired a commit is not
+// acknowledged — the client hears "commit state unknown" — and after
+// the lease is granted again the sessioned retry is a dedup hit: the
+// withheld commit happened exactly once.
+func TestLeaseGatesOneShardServer(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s, err := New(Options{
+		Substrate: "tl2", Keys: 32, Seed: 42, Shards: 1,
+		Durable: true, SyncPolicy: wal.SyncEveryRecord,
+		LeaseTTL: 50 * time.Millisecond, Clock: func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	if err := s.GrantLease(1); err != nil {
+		t.Fatal(err)
+	}
+	if resp := s.DoTxnSession([]kvapi.Op{{Kind: kvapi.OpPut, Key: 1, Val: 10}}, 9, 1); resp.Status != kvapi.StatusOK {
+		t.Fatalf("commit under a valid lease: %+v", resp)
+	}
+
+	now = now.Add(time.Second) // renewals stopped: the lease is long gone
+	ops := []kvapi.Op{{Kind: kvapi.OpPut, Key: 2, Val: 20}, {Kind: kvapi.OpGet, Key: 2}}
+	resp := s.DoTxnSession(ops, 9, 2)
+	if resp.Status == kvapi.StatusOK || !strings.Contains(resp.Msg, "commit state unknown") {
+		t.Fatalf("commit under an expired lease was answered %+v, want \"commit state unknown\"", resp)
+	}
+	// The unsessioned path is gated too.
+	if resp := s.DoTxn([]kvapi.Op{{Kind: kvapi.OpPut, Key: 3, Val: 30}}); resp.Status == kvapi.StatusOK {
+		t.Fatalf("unsessioned commit acked under an expired lease: %+v", resp)
+	}
+
+	if err := s.GrantLease(1); err != nil { // the held epoch renews
+		t.Fatal(err)
+	}
+	commits := s.Stats().Commits
+	resp = s.DoTxnSession(ops, 9, 2)
+	if resp.Status != kvapi.StatusOK || !resp.DedupHit || resp.Results[1].Val != 20 {
+		t.Fatalf("retry after re-grant: %+v, want a dedup hit answering 20", resp)
+	}
+	if got := s.Stats().Commits; got != commits {
+		t.Fatalf("retry re-executed: commits %d -> %d", commits, got)
 	}
 }

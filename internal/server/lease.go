@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -110,4 +111,52 @@ func (l *Lease) Check() error {
 		return nil
 	}
 	return fmt.Errorf("server: lease epoch %d expired", l.epoch)
+}
+
+// ackCheck is the shard.Options.AckCheck the server installs on every
+// engine it boots: acks are permitted only while the lease (if one is
+// configured) is valid. A partitioned primary whose renewals stopped
+// goes silent here — the commit may be locally durable, but the client
+// is told the outcome is unknown and retries against whoever holds the
+// next lease epoch.
+func (s *Server) ackCheck() error {
+	if l := s.lease; l != nil {
+		return l.Check()
+	}
+	return nil
+}
+
+// Lease exposes the serving lease (nil when LeaseTTL was not set).
+func (s *Server) Lease() *Lease { return s.lease }
+
+// GrantLease brands epoch into the coordinator log (durable before the
+// permit opens) and then grants the lease: the supervisor's promotion
+// handshake.
+func (s *Server) GrantLease(epoch uint64) error {
+	if s.lease == nil {
+		return errors.New("server: no lease configured (set Options.LeaseTTL)")
+	}
+	eng := s.Engine()
+	if eng == nil {
+		return errors.New("server: lease grant: not serving (no engine)")
+	}
+	if epoch > eng.LeaseEpoch() {
+		if err := eng.BrandLease(epoch); err != nil {
+			return err
+		}
+	}
+	if err := s.lease.Grant(epoch); err != nil {
+		return err
+	}
+	s.suite.Metrics.LeaseEpochSet(epoch)
+	return nil
+}
+
+// RenewLease extends the held lease; false means it already expired
+// (and a successor may hold the next epoch).
+func (s *Server) RenewLease() bool {
+	if s.lease == nil {
+		return false
+	}
+	return s.lease.Renew()
 }

@@ -5,48 +5,8 @@ import (
 	"time"
 
 	"pushpull/internal/kvapi"
-	"pushpull/internal/ops"
-	"pushpull/internal/shard"
 	"pushpull/internal/wal"
 )
-
-// TestShardKindsMatchWire pins the shard engine's OpKind values to the
-// kvapi wire encoding and the ops.Code registry: the server and the
-// shard router convert between the three by cast (server.go
-// doTxnSharded, shard/branch.go typedDo), so a divergence would
-// silently re-type operations crossing a layer.
-func TestShardKindsMatchWire(t *testing.T) {
-	pairs := []struct {
-		s shard.OpKind
-		w kvapi.OpKind
-	}{
-		{shard.OpGet, kvapi.OpGet},
-		{shard.OpPut, kvapi.OpPut},
-		{shard.OpAdd, kvapi.OpAdd},
-		{shard.OpCGet, kvapi.OpCGet},
-		{shard.OpWd, kvapi.OpWd},
-		{shard.OpCAS, kvapi.OpCAS},
-		{shard.OpSAdd, kvapi.OpSAdd},
-		{shard.OpSRem, kvapi.OpSRem},
-		{shard.OpSCont, kvapi.OpSCont},
-		{shard.OpQPush, kvapi.OpQPush},
-		{shard.OpQPop, kvapi.OpQPop},
-	}
-	if len(pairs) != ops.NumCodes {
-		t.Fatalf("table covers %d kinds, ops.NumCodes=%d", len(pairs), ops.NumCodes)
-	}
-	for _, p := range pairs {
-		if uint8(p.s) != uint8(p.w) {
-			t.Errorf("shard.OpKind %d != kvapi.OpKind %d", p.s, p.w)
-		}
-	}
-	for c := 0; c < ops.NumCodes; c++ {
-		if shard.OpKind(c).Typed() != ops.Code(c).Typed() {
-			t.Errorf("kind %d: shard.Typed()=%v, ops.Typed()=%v",
-				c, shard.OpKind(c).Typed(), ops.Code(c).Typed())
-		}
-	}
-}
 
 // mustTxn sends one one-shot transaction and requires StatusOK.
 func mustTxn(t *testing.T, c *kvapi.Client, txn []kvapi.Op) kvapi.Response {
@@ -127,7 +87,7 @@ func TestOpsSmoke(t *testing.T) {
 	if st := s1.Stats(); st.TypedOps == 0 {
 		t.Fatalf("server counted no typed ops: %+v", st)
 	}
-	segs := s1.WALSegments()
+	img := s1.ShardImage()
 	c.Close()
 	s1.Stop()
 	if err := s1.FinalCheck(); err != nil {
@@ -143,7 +103,7 @@ func TestOpsSmoke(t *testing.T) {
 	s2, err := New(Options{
 		Substrate: "boost", Keys: 64, Seed: 11,
 		Durable: true, SyncPolicy: wal.SyncEveryRecord,
-		RecoverFrom: segs,
+		RecoverFrom: img,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)

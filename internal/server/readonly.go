@@ -35,12 +35,11 @@ func (s *Server) roleView() roleView {
 	return roleView{role: s.role, eng: s.eng, replica: s.replica, advertise: s.opts.Advertise}
 }
 
-// roTxn is one pinned read-only transaction: per-partition snapshots
-// (a single entry on the unsharded path), the independent certifiers
-// the observed reads must pass before results are released, and the
-// read log itself. It takes no admission slot, no substrate lock, and
-// no retry budget — the read-only class cannot conflict, so it cannot
-// abort.
+// roTxn is one pinned read-only transaction: per-shard snapshots, the
+// independent certifiers the observed reads must pass before results
+// are released, and the read log itself. It takes no admission slot,
+// no substrate lock, and no retry budget — the read-only class cannot
+// conflict, so it cannot abort.
 type roTxn struct {
 	shardOf func(uint64) int
 	snaps   []*mvcc.Snapshot
@@ -70,17 +69,6 @@ func (s *Server) beginRO(rv roleView) (*roTxn, bool) {
 			shardOf: rv.eng.ShardOf,
 			snaps:   cut.Snaps(), certs: rv.eng.Certifiers(),
 			reads: make([][]mvcc.ReadObs, len(cut.Snaps())),
-		}, true
-	case s.be != nil:
-		store := s.be.Snapshots()
-		if store == nil {
-			return nil, false
-		}
-		return &roTxn{
-			shardOf: func(uint64) int { return 0 },
-			snaps:   []*mvcc.Snapshot{store.Snapshot()},
-			certs:   []*mvcc.Shadow{s.be.SnapshotCert()},
-			reads:   make([][]mvcc.ReadObs, 1),
 		}, true
 	}
 	return nil, false
@@ -157,18 +145,13 @@ func (s *Server) doTxnReadOnly(rv roleView, ops []kvapi.Op, session, seqNo uint6
 		// Word-family substrates keep typed counters in the plain
 		// register array, not the ops.KeyBit fold namespace the
 		// snapshot read below would consult — answer on the normal
-		// transactional path, which reads the registers directly.
-		if rv.follower() {
-			return s.doTxnFollower(rv, ops)
-		}
-		return s.doTxnSession(ops, session, seqNo)
+		// transactional path (the replica's image on a follower), which
+		// reads the registers directly.
+		return s.doTxnSession(rv, ops, session, seqNo)
 	}
 	tx, ok := s.beginRO(rv)
 	if !ok {
-		if rv.follower() {
-			return s.doTxnFollower(rv, ops)
-		}
-		return s.doTxnSession(ops, session, seqNo)
+		return s.doTxnSession(rv, ops, session, seqNo)
 	}
 	defer tx.close()
 	results := make([]kvapi.Result, len(ops))
@@ -204,10 +187,7 @@ func (s *Server) doBeginRO(cs *connState, rv roleView) kvapi.Response {
 	}
 	tx, ok := s.beginRO(rv)
 	if !ok {
-		if rv.follower() {
-			return s.redirectResponse(rv.advertise)
-		}
-		return s.doBegin(cs) // certification disabled: normal interactive txn
+		return s.doBegin(cs, rv) // certification disabled: normal interactive txn (a follower redirects)
 	}
 	cs.ro = tx
 	s.sessions.Add(1)

@@ -40,7 +40,6 @@ func (s *Server) newFollower() (*Server, error) {
 		Seed: s.opts.Seed, BaseDelay: time.Millisecond,
 		MaxDelay: 50 * time.Millisecond, MaxTries: 4,
 	})
-	s.group = NewGroupCommit(nil) // unused; keeps Stats total
 	s.role = roleFollower
 	s.suite.Metrics.ReplRoleSet(roleFollower)
 	s.startPolling()
@@ -259,15 +258,9 @@ func (s *Server) Promote() (shard.MultiReport, error) {
 	if e := s.replica.Epoch(); e > epoch {
 		epoch = e
 	}
-	eng, err := shard.New(shard.Options{
-		Shards: s.opts.Shards, Substrate: s.opts.Substrate, Keys: s.opts.Keys,
-		Seed: s.opts.Seed, DisableCert: s.opts.DisableCert,
-		Retry:   s.opts.Retry,
-		Durable: true, SyncPolicy: s.opts.SyncPolicy,
-		GroupEvery: s.opts.GroupEvery, SegmentBytes: s.opts.SegmentBytes,
-		RecoverFrom: s.replica.Image(), Suite: s.suite,
-		Epoch: epoch + 1, AckCheck: s.ackCheck,
-	})
+	eo := s.engineOptions()
+	eo.Durable, eo.RecoverFrom, eo.Epoch = true, s.replica.Image(), epoch+1
+	eng, err := shard.New(eo)
 	if err != nil {
 		s.demoteTo(roleFollower)
 		return shard.MultiReport{}, fmt.Errorf("server: promotion boot failed: %w", err)

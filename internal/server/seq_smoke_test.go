@@ -85,7 +85,7 @@ func TestSeqSmoke(t *testing.T) {
 		Substrate: "tl2", Shards: shards, Keys: 32 * shards, Seed: 12,
 		Durable: true, SyncPolicy: wal.SyncOnCommit,
 		Seq: true, BatchInterval: time.Millisecond,
-		RecoverFromImage: img,
+		RecoverFrom: img,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)

@@ -14,10 +14,7 @@ import (
 	"pushpull/internal/kvapi"
 	"pushpull/internal/mvcc"
 	"pushpull/internal/obs"
-	typedops "pushpull/internal/ops"
-	"pushpull/internal/recovery"
 	"pushpull/internal/repl"
-	"pushpull/internal/serial"
 	"pushpull/internal/shard"
 	"pushpull/internal/wal"
 )
@@ -25,7 +22,7 @@ import (
 // Options configure a Server.
 type Options struct {
 	// Substrate selects the TM implementation (default "tl2"); see
-	// Substrates().
+	// backend.Substrates().
 	Substrate string
 	// Keys sizes the word substrates' address space (default 64).
 	Keys int
@@ -34,17 +31,18 @@ type Options struct {
 	Seed int64
 	// DisableCert drops shadow-machine certification (raw throughput).
 	DisableCert bool
-	// Shards > 1 serves through the hash-partitioned engine: one
-	// independent machine (own WAL stream, recorder site, metrics
-	// label) per shard, single-shard transactions routed to their home
-	// shard unchanged, cross-shard ones through the journaled two-phase
-	// coordinator (internal/shard).
+	// Shards is the partition count (default 1). Every server serves
+	// through a shard.Engine: one independent machine (own WAL stream,
+	// recorder site, metrics label) per shard, single-shard transactions
+	// routed to their home shard unchanged, cross-shard ones through the
+	// journaled two-phase coordinator (internal/shard). One shard is the
+	// plain single-machine server.
 	Shards int
 	// Seq switches the cross-shard commit path from the coordinator
 	// mutex to the deterministic sequencer (internal/seq): GSNs are
 	// assigned at admission, one forced batch record per epoch replaces
 	// the per-transaction force, and per-shard executors release commits
-	// in GSN order. Ignored when Shards <= 1.
+	// in GSN order. Ignored at one shard (nothing crosses).
 	Seq bool
 	// BatchInterval is the sequencer's optional accumulation window
 	// (zero = pure adaptive group commit: each epoch seals whatever
@@ -66,29 +64,26 @@ type Options struct {
 	// as the in-process harnesses.
 	Plan *chaos.Plan
 
-	// WALDir backs the write-ahead log with segment files; Durable
-	// keeps an in-memory WAL when WALDir is empty (tests, simulated
-	// crashes). With neither, commits are not durable and no recovery
-	// runs.
+	// WALDir backs the write-ahead logs with files (one shard: wal-*.seg
+	// flat in WALDir; more: WALDir/shard-NN/; coord.log beside them);
+	// Durable keeps in-memory logs when WALDir is empty (tests,
+	// simulated crashes). With neither, commits are not durable and no
+	// recovery runs.
 	WALDir       string
 	Durable      bool
 	SyncPolicy   wal.SyncPolicy
 	GroupEvery   int
 	SegmentBytes int
-	// RecoverFrom, when non-nil, supplies the durable segment images
-	// to recover from explicitly (the in-memory restart path); it
+	// RecoverFrom, when non-nil, supplies the durable image to recover
+	// from explicitly (the in-memory restart path, from ShardImage()); it
 	// takes precedence over reading WALDir.
-	RecoverFrom [][]byte
-	// RecoverFromImage is the sharded equivalent (Shards > 1): the
-	// multi-log durable image from ShardImage().
-	RecoverFromImage *shard.Image
+	RecoverFrom *shard.Image
 
 	// Suite receives all telemetry (default: a fresh obs.New()).
 	Suite *obs.Suite
 
-	// Replicate serves the replication poll endpoint (MsgReplPoll):
-	// the server runs through the sharded engine even at Shards == 1,
-	// with durable WALs forced on, so followers can stream its logs.
+	// Replicate serves the replication poll endpoint (MsgReplPoll), with
+	// durable WALs forced on so followers can stream the engine's logs.
 	Replicate bool
 	// Epoch is the serving generation branded into the coordinator log
 	// (zero means epoch 1 when replicating); a server taking over from
@@ -156,23 +151,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the transactional KV service.
+// Server is the transactional KV service: transport (the framed binary
+// protocol and the HTTP fallback), replication roles, admission control
+// and the serving lease. Everything transactional — recovery, WALs,
+// substrates, chaos, the exactly-once table, interactive transactions —
+// belongs to the shard.Engine it serves through.
 type Server struct {
 	opts  Options
 	suite *obs.Suite
-	be    Backend
-	eng   *shard.Engine // non-nil when Shards > 1
-	log   *wal.Log
-	hook  *wal.MachineHook
-	group *GroupCommit
 	gate  *gate
+	lease *Lease
 
-	recovered recovery.Report
-	seeded    int
-
-	// Replication (nil/empty on an unreplicated server). role is
-	// guarded by replMu: "primary", "follower", or "promoting".
+	// The serving state, guarded by replMu. eng is nil only on a
+	// follower that has not been promoted; role is "" (unreplicated),
+	// "primary", "follower", or "promoting".
 	replMu   sync.RWMutex
+	eng      *shard.Engine
 	role     string
 	replica  *repl.Replica
 	puller   *repl.Puller
@@ -180,15 +174,7 @@ type Server struct {
 	pollStop chan struct{}
 	pollWG   sync.WaitGroup
 
-	seq      atomic.Uint64 // transaction name counter
-	sessions atomic.Int64  // open interactive sessions
-
-	// Exactly-once sessions (single-machine path; the sharded engine
-	// keeps its own table) and the serving lease.
-	sessMu    sync.Mutex
-	sess      map[uint64]srvSessEntry
-	dedupHits atomic.Uint64
-	lease     *Lease
+	sessions atomic.Int64 // open interactive sessions
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -198,12 +184,14 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// New builds a server: recover-and-certify first (refusing to serve a
-// durable image that does not re-certify), then the substrate backend
-// wired to the WAL, group commit, chaos, and the observability suite,
-// then the recovered state re-applied as fresh certified transactions
-// (the restart checkpoint). The listener is not opened here — call
-// Start or Serve.
+// New builds a server. A follower (Options.Follow) builds a warm
+// standby; everything else boots the engine, which recovers and
+// certifies the durable image first (refusing to serve one that does
+// not re-certify), then wires one substrate backend per shard to its
+// WAL, group commit, chaos plan and the observability suite, and
+// re-applies the recovered state as fresh certified transactions (the
+// restart checkpoint). The listener is not opened here — call Start or
+// Serve.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	suite := opts.Suite
@@ -224,145 +212,34 @@ func New(opts Options) (*Server, error) {
 		return s.newFollower()
 	}
 
-	// The sharded engine owns recovery, WALs, backends, and chaos for
-	// every partition; the server keeps admission control and the wire.
-	// Replicated serving always runs through the engine (even with one
-	// shard): it owns the durable streams followers poll.
-	if opts.Shards > 1 || opts.Replicate {
-		eng, err := shard.New(shard.Options{
-			Shards: opts.Shards, Substrate: opts.Substrate, Keys: opts.Keys,
-			Seed: opts.Seed, DisableCert: opts.DisableCert,
-			Retry: opts.Retry, Plan: opts.Plan,
-			WALDir: opts.WALDir, Durable: opts.Durable,
-			SyncPolicy: opts.SyncPolicy, GroupEvery: opts.GroupEvery,
-			SegmentBytes: opts.SegmentBytes,
-			RecoverFrom:  opts.RecoverFromImage, Suite: suite,
-			Epoch: opts.Epoch, AckCheck: s.ackCheck,
-			Seq: opts.Seq, BatchInterval: opts.BatchInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.eng = eng
-		s.group = NewGroupCommit(nil) // unused; keeps Stats total
-		if opts.Replicate {
-			s.role = rolePrimary
-			suite.Metrics.ReplRoleSet(rolePrimary)
-		}
-		return s, nil
-	}
-
-	var inj *chaos.Faults
-	if opts.Plan != nil {
-		inj = opts.Plan.Injector()
-		inj.SetObserver(func(site chaos.Site) { suite.Metrics.FaultFired(string(site)) })
-	}
-	retry := opts.Retry
-	if retry == nil {
-		retry = chaos.Default(opts.Seed)
-	}
-	if retry.OnRetry == nil {
-		retry.OnRetry = suite.Metrics.RetryObserved
-	}
-
-	// Crash recovery happens before anything serves: replay the
-	// durable image, certify it, and only then build the substrate.
-	segs := opts.RecoverFrom
-	if segs == nil && opts.WALDir != "" {
-		var err error
-		if segs, err = readWALDir(opts.WALDir); err != nil {
-			return nil, err
-		}
-	}
-	if len(segs) > 0 {
-		reg, err := RegistryFor(opts.Substrate)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := recovery.RecoverAndCertify(segs, reg)
-		if err != nil {
-			return nil, fmt.Errorf("server: refusing to serve: %w", err)
-		}
-		s.recovered = rep
-	}
-
-	if opts.WALDir != "" || opts.Durable {
-		if opts.WALDir != "" {
-			// The fresh log wants its segment numbering back; the
-			// recovered image is preserved under an epoch subdirectory.
-			if err := archiveSegments(opts.WALDir); err != nil {
-				return nil, err
-			}
-		}
-		// Under SyncOnCommit the log itself would fsync inside Append —
-		// which the machine hook calls while the substrate holds its
-		// commit locks and the shadow session is open. Stretching the
-		// locked section ~100x starves recorder compaction (it needs an
-		// idle instant), the certification window grows without bound,
-		// and throughput death-spirals. Instead the server opens the
-		// log non-syncing and forces it at the commit *barrier* (log
-		// force at commit): the group-commit leader runs Sync outside
-		// every lock, after the CMT record is appended and before the
-		// client is acknowledged, so durability is unchanged and
-		// concurrent committers share one fsync.
-		logPolicy := opts.SyncPolicy
-		forceAtBarrier := opts.SyncPolicy == wal.SyncOnCommit
-		if forceAtBarrier {
-			logPolicy = wal.SyncNever
-		}
-		log, err := wal.Open(wal.Options{
-			Dir: opts.WALDir, SegmentBytes: opts.SegmentBytes,
-			Policy: logPolicy, GroupEvery: opts.GroupEvery,
-			Chaos: inj, SyncObserver: suite.Metrics.WALSyncObserved,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: opening WAL: %w", err)
-		}
-		s.log = log
-		if forceAtBarrier {
-			s.group = NewGroupCommit(backend.ForceSync(log))
-		} else {
-			s.group = NewGroupCommit(s.log)
-		}
-	}
-	if s.group == nil {
-		s.group = NewGroupCommit(nil)
-	}
-
-	be, err := NewBackend(Config{
-		Substrate: opts.Substrate, Keys: opts.Keys, Seed: opts.Seed,
-		DisableCert: opts.DisableCert, Injector: inj, Retry: retry,
-		Durable: s.group,
-	})
+	eo := s.engineOptions()
+	eo.Plan = opts.Plan
+	eo.WALDir, eo.Durable = opts.WALDir, opts.Durable
+	eo.RecoverFrom, eo.Epoch = opts.RecoverFrom, opts.Epoch
+	eo.Seq, eo.BatchInterval = opts.Seq, opts.BatchInterval
+	eng, err := shard.New(eo)
 	if err != nil {
 		return nil, err
 	}
-	s.be = be
-	if rec := be.Recorder(); rec != nil {
-		if s.log != nil {
-			s.hook = wal.NewMachineHook(s.log)
-			rec.AttachWAL(s.hook)
-		}
-		rec.SetSite(opts.Substrate)
-		rec.AttachSink(suite)
-	}
-	if store := be.Snapshots(); store != nil {
-		store.SetObserver(suite.Metrics)
-	}
-
-	// Re-apply the recovered image through normal certified (and, now,
-	// WAL-logged) transactions: the new log starts with a checkpoint.
-	if len(s.recovered.State.Txns) > 0 {
-		n, err := be.Seed(s.recovered.State, "recover")
-		if err != nil {
-			return nil, err
-		}
-		s.seeded = n
-	}
-	if err := s.seedServerSessions(); err != nil {
-		return nil, err
+	s.eng = eng
+	if opts.Replicate {
+		s.role = rolePrimary
+		suite.Metrics.ReplRoleSet(rolePrimary)
 	}
 	return s, nil
+}
+
+// engineOptions is what every engine this server boots shares — the
+// first one in New and a promoted follower's in Promote.
+func (s *Server) engineOptions() shard.Options {
+	o := s.opts
+	return shard.Options{
+		Shards: o.Shards, Substrate: o.Substrate, Keys: o.Keys,
+		Seed: o.Seed, DisableCert: o.DisableCert, Retry: o.Retry,
+		SyncPolicy: o.SyncPolicy, GroupEvery: o.GroupEvery,
+		SegmentBytes: o.SegmentBytes,
+		Suite:        s.suite, AckCheck: s.ackCheck,
+	}
 }
 
 // Start opens a TCP listener on addr (use "127.0.0.1:0" in tests) and
@@ -412,10 +289,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) handleConn(conn net.Conn) {
 	var cs connState
 	defer func() {
-		if cs.sess != nil {
-			_ = cs.sess.abandon()
-			s.endSession(&cs)
-		}
 		if cs.stx != nil {
 			cs.stx.Abandon()
 			s.endSession(&cs)
@@ -446,16 +319,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// connState is one connection's open interactive transaction: a
-// single-machine session, a sharded transaction, or a read-only
-// snapshot transaction — never more than one.
+// connState is one connection's open interactive transaction: an engine
+// transaction or a read-only snapshot transaction — never both.
 type connState struct {
-	sess *session
-	stx  *shard.Txn
-	ro   *roTxn
+	stx *shard.Txn
+	ro  *roTxn
 }
 
-func (cs *connState) open() bool { return cs.sess != nil || cs.stx != nil || cs.ro != nil }
+func (cs *connState) open() bool { return cs.stx != nil || cs.ro != nil }
 
 // dispatch routes one request and feeds the per-endpoint request
 // counters and latency histograms.
@@ -480,7 +351,7 @@ func (s *Server) dispatch(cs *connState, req kvapi.Request) kvapi.Response {
 		case rv.follower():
 			resp = s.doTxnFollower(rv, req.Ops)
 		default:
-			resp = s.doTxnSession(req.Ops, req.Session, req.Seq)
+			resp = s.doTxnSession(rv, req.Ops, req.Session, req.Seq)
 		}
 	case kvapi.MsgBegin:
 		switch {
@@ -489,7 +360,7 @@ func (s *Server) dispatch(cs *connState, req kvapi.Request) kvapi.Response {
 		case rv.follower():
 			resp = s.redirectResponse(rv.advertise)
 		default:
-			resp = s.doBegin(cs)
+			resp = s.doBegin(cs, rv)
 		}
 	case kvapi.MsgGet, kvapi.MsgPut:
 		resp = s.doOp(cs, req)
@@ -517,109 +388,45 @@ func (s *Server) DoTxn(ops []kvapi.Op) kvapi.Response {
 // (session 0 means none).
 func (s *Server) DoTxnSession(ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
 	t0 := time.Now()
-	resp := s.doTxnSession(ops, session, seqNo)
+	resp := s.doTxnSession(s.roleView(), ops, session, seqNo)
 	s.suite.Metrics.RequestObserved("http.txn", resp.Status.String(), time.Since(t0))
 	return resp
 }
 
-func (s *Server) doTxn(ops []kvapi.Op) kvapi.Response {
-	return s.doTxnSession(ops, 0, 0)
-}
-
-func (s *Server) doTxnSession(ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
-	s.replMu.RLock()
-	eng := s.eng
-	s.replMu.RUnlock()
-	if eng == nil && s.be == nil {
+// doTxnSession runs a one-shot through the engine under the admission
+// gate. The engine owns the exactly-once table (a dedup hit answers with
+// the original results) and the ack gate (an expired lease or a fenced
+// engine withholds the ack: "commit state unknown").
+func (s *Server) doTxnSession(rv roleView, ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
+	if rv.eng == nil {
 		// A follower reached outside dispatch (the HTTP fallback):
 		// read-only one-shots are served, everything else redirects.
-		return s.doTxnFollower(s.roleView(), ops)
+		return s.doTxnFollower(rv, ops)
 	}
 	ok, hint := s.gate.acquire()
 	if !ok {
 		return busyResponse(hint)
 	}
 	defer s.gate.release()
-	if eng != nil {
-		return s.doTxnSharded(eng, ops, session, seqNo)
-	}
-	return s.doTxnLocal(ops, session, seqNo)
-}
-
-// doTxnLocal runs a one-shot on the single-machine substrate (gate
-// already held), with the server-level exactly-once table: a dedup hit
-// answers with the original results, and a committing sessioned
-// transaction logs a TSession record in the same WAL entry group as
-// its commit, so recovery rebuilds the table alongside the state.
-func (s *Server) doTxnLocal(ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
-	if session != 0 {
-		if resp, done := s.sessLookup(session, seqNo); done {
-			return resp
-		}
-	}
-	results := make([]kvapi.Result, len(ops))
-	attempts := uint32(0)
-	var typedN, commuteN uint64
-	name := txnName(s.seq.Add(1))
-	err := s.be.Atomic(name, func(v View) error {
-		attempts++
-		// Only the attempt that commits gets to report its commute
-		// hits: an aborted attempt's shares were rewound with it.
-		typedN, commuteN = 0, 0
-		for i, op := range ops {
-			switch op.Kind {
-			case kvapi.OpGet:
-				val, found, err := v.Get(op.Key)
-				if err != nil {
-					return err
-				}
-				results[i] = kvapi.Result{Val: val, Found: found}
-			case kvapi.OpPut:
-				if err := v.Put(op.Key, op.Val); err != nil {
-					return err
-				}
-				results[i] = kvapi.Result{}
-			default:
-				tv, ok := v.(backend.TypedView)
-				if !ok {
-					return fmt.Errorf("op %v: typed operations unsupported on this substrate", op.Kind)
-				}
-				val, commuted, err := tv.Typed(typedops.Code(op.Kind), op.Key, op.Val, op.Arg)
-				if err != nil {
-					return err
-				}
-				typedN++
-				if commuted {
-					commuteN++
-				}
-				results[i] = kvapi.Result{Val: val, Found: true}
-			}
-		}
-		if session != 0 {
-			// Inside the callback the commit record has not been
-			// appended yet: the TSession record lands before it, so a
-			// durable commit implies a durable dedup entry and a lost
-			// commit takes its entry down with it.
-			if aerr := s.appendSessionRecord(session, seqNo, name, results); aerr != nil {
-				return aerr
-			}
-		}
-		return nil
-	})
-	retries := uint32(0)
-	if attempts > 0 {
-		retries = attempts - 1
-	}
+	res, retries, dedup, err := rv.eng.DoSession(session, seqNo, ops)
 	if err != nil {
 		return abortResponse(err, retries)
 	}
-	if typedN > 0 {
+	results := make([]kvapi.Result, len(res))
+	var typedN, commuteN uint64
+	for i, r := range res {
+		results[i] = kvapi.Result{Val: r.Val, Found: r.Found}
+		if ops[i].Kind.Typed() {
+			typedN++
+		}
+		if r.Commuted {
+			commuteN++
+		}
+	}
+	if typedN > 0 && !dedup {
 		s.countTyped(typedN, commuteN)
 	}
-	if session != 0 {
-		s.sessRemember(session, seqNo, results)
-	}
-	return kvapi.Response{Status: kvapi.StatusOK, Results: results, Retries: retries, CommuteHits: commuteN}
+	return kvapi.Response{Status: kvapi.StatusOK, Results: results, Retries: retries, DedupHit: dedup, CommuteHits: commuteN}
 }
 
 // countTyped feeds the committed attempt's typed/commute tallies into
@@ -633,66 +440,22 @@ func (s *Server) countTyped(typed, commuted uint64) {
 	}
 }
 
-// doTxnSharded routes a one-shot transaction through the sharded
-// engine (gate already held); the engine owns the exactly-once table
-// on this path.
-func (s *Server) doTxnSharded(eng *shard.Engine, ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
-	sops := make([]shard.Op, len(ops))
-	for i, op := range ops {
-		// shard.OpKind values mirror kvapi.OpKind numerically (pinned
-		// by TestShardKindsMatchWire), so the conversion is a cast.
-		sops[i] = shard.Op{Kind: shard.OpKind(op.Kind), Key: op.Key, Val: op.Val, Arg: op.Arg}
-	}
-	var (
-		res     []shard.Result
-		retries uint32
-		dedup   bool
-		err     error
-	)
-	if session != 0 {
-		res, retries, dedup, err = eng.DoSession(session, seqNo, sops)
-	} else {
-		res, retries, err = eng.Do(sops)
-	}
-	if err != nil {
-		return abortResponse(err, retries)
-	}
-	results := make([]kvapi.Result, len(res))
-	var typedN, commuteN uint64
-	for i, r := range res {
-		results[i] = kvapi.Result{Val: r.Val, Found: r.Found}
-		if sops[i].Kind.Typed() {
-			typedN++
-		}
-		if r.Commuted {
-			commuteN++
-		}
-	}
-	if typedN > 0 && !dedup {
-		s.countTyped(typedN, commuteN)
-	}
-	return kvapi.Response{Status: kvapi.StatusOK, Results: results, Retries: retries, DedupHit: dedup, CommuteHits: commuteN}
-}
-
-func (s *Server) doBegin(cs *connState) kvapi.Response {
+// doBegin opens an interactive transaction on the engine: it holds an
+// admission slot until it commits, aborts, dies on a conflict, or the
+// connection drops.
+func (s *Server) doBegin(cs *connState, rv roleView) kvapi.Response {
 	if cs.open() {
 		return kvapi.Response{Status: kvapi.StatusError, Msg: "transaction already open on this connection"}
+	}
+	if rv.eng == nil {
+		return s.redirectResponse(rv.advertise)
 	}
 	ok, hint := s.gate.acquire()
 	if !ok {
 		return busyResponse(hint)
 	}
 	s.sessions.Add(1)
-	s.replMu.RLock()
-	eng := s.eng
-	s.replMu.RUnlock()
-	if eng != nil {
-		cs.stx = eng.Begin()
-		return kvapi.Response{Status: kvapi.StatusOK}
-	}
-	sess := newSession(sessionName(s.seq.Add(1)))
-	go sess.run(s.be)
-	cs.sess = sess
+	cs.stx = rv.eng.Begin()
 	return kvapi.Response{Status: kvapi.StatusOK}
 }
 
@@ -703,42 +466,22 @@ func (s *Server) doOp(cs *connState, req kvapi.Request) kvapi.Response {
 	if cs.ro != nil {
 		return s.doOpRO(cs, req)
 	}
-	if tx := cs.stx; tx != nil {
-		var r kvapi.Result
-		var err error
-		if req.Type == kvapi.MsgGet {
-			r.Val, r.Found, err = tx.Get(req.Key)
-		} else {
-			err = tx.Put(req.Key, req.Val)
-		}
-		if err != nil {
-			retries := tx.Retries()
-			s.endSession(cs)
-			return abortResponse(err, retries)
-		}
-		return kvapi.Response{Status: kvapi.StatusOK, Results: []kvapi.Result{r}}
-	}
-	sess := cs.sess
-	c := sessCmd{key: req.Key, val: req.Val}
+	tx := cs.stx
+	var r kvapi.Result
+	var err error
 	if req.Type == kvapi.MsgGet {
-		c.kind = cmdGet
+		r.Val, r.Found, err = tx.Get(req.Key)
 	} else {
-		c.kind = cmdPut
+		err = tx.Put(req.Key, req.Val)
 	}
-	sess.cmds <- c
-	select {
-	case r := <-sess.replies:
-		return kvapi.Response{
-			Status:  kvapi.StatusOK,
-			Results: []kvapi.Result{{Val: r.val, Found: r.found}},
-		}
-	case err := <-sess.done:
+	if err != nil {
 		// The transaction died processing this operation (retry budget,
 		// replay divergence): the session is over.
-		retries := sess.retries
+		retries := tx.Retries()
 		s.endSession(cs)
 		return abortResponse(err, retries)
 	}
+	return kvapi.Response{Status: kvapi.StatusOK, Results: []kvapi.Result{r}}
 }
 
 func (s *Server) doEnd(cs *connState, commit bool) kvapi.Response {
@@ -748,43 +491,26 @@ func (s *Server) doEnd(cs *connState, commit bool) kvapi.Response {
 	if cs.ro != nil {
 		return s.doEndRO(cs, commit)
 	}
-	if tx := cs.stx; tx != nil {
-		var err error
-		if commit {
-			err = tx.Commit()
-		} else {
-			err = tx.Abort()
-		}
-		retries := tx.Retries()
-		s.endSession(cs)
-		if commit && err != nil {
-			return abortResponse(err, retries)
-		}
-		return kvapi.Response{Status: kvapi.StatusOK, Retries: retries}
-	}
-	sess := cs.sess
-	kind := cmdAbort
+	tx := cs.stx
+	var err error
 	if commit {
-		kind = cmdCommit
+		err = tx.Commit()
+	} else {
+		// A requested abort "succeeds" whatever the substrate returned —
+		// the transaction is gone either way.
+		_ = tx.Abort()
 	}
-	sess.cmds <- sessCmd{kind: kind}
-	err := <-sess.done
-	retries := sess.retries
+	retries := tx.Retries()
 	s.endSession(cs)
-	if commit {
-		if err != nil {
-			return abortResponse(err, retries)
-		}
-		return kvapi.Response{Status: kvapi.StatusOK, Retries: retries}
+	if err != nil {
+		return abortResponse(err, retries)
 	}
-	// A requested abort "succeeds" whatever the substrate returned —
-	// the transaction is gone either way.
 	return kvapi.Response{Status: kvapi.StatusOK, Retries: retries}
 }
 
 // endSession releases everything doBegin acquired.
 func (s *Server) endSession(cs *connState) {
-	cs.sess, cs.stx = nil, nil
+	cs.stx = nil
 	s.gate.release()
 	s.sessions.Add(-1)
 }
@@ -804,10 +530,10 @@ func abortResponse(err error, retries uint32) kvapi.Response {
 	case errors.Is(err, chaos.ErrRetriesExhausted):
 		return kvapi.Response{Status: kvapi.StatusAborted, Retries: retries,
 			Msg: "retry budget exhausted"}
-	case errors.Is(err, errReplayDiverged), errors.Is(err, shard.ErrReplayDiverged):
+	case errors.Is(err, shard.ErrReplayDiverged):
 		return kvapi.Response{Status: kvapi.StatusAborted, Retries: retries,
 			Msg: err.Error()}
-	case errors.Is(err, errClientAbort), errors.Is(err, shard.ErrClientAbort):
+	case errors.Is(err, shard.ErrClientAbort):
 		return kvapi.Response{Status: kvapi.StatusOK, Retries: retries}
 	case errors.Is(err, shard.ErrCoordCrashed):
 		return kvapi.Response{Status: kvapi.StatusAborted, Retries: retries,
@@ -835,14 +561,11 @@ func (s *Server) Stop() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.stopPolling()
-	if s.log != nil {
-		_ = s.log.Close() // a simulated-crash log refuses; that's fine
-	}
 	s.replMu.RLock()
 	eng, up := s.eng, s.upstream
 	s.replMu.RUnlock()
 	if eng != nil {
-		_ = eng.Close()
+		_ = eng.Close() // a simulated-crash log refuses; that's fine
 	}
 	if up != nil {
 		_ = up.Close()
@@ -901,61 +624,33 @@ type Stats struct {
 
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
-	st := s.statsBase()
-	st.ROCommits = s.suite.Metrics.ROCommits()
-	st.ROAborts = s.suite.Metrics.ROAborts()
-	st.TypedOps = s.suite.Metrics.TypedOps()
-	st.CommuteHits = s.suite.Metrics.CommuteHits()
-	var ms mvcc.Stats
 	rv := s.roleView()
+	st := Stats{
+		Substrate: s.opts.Substrate, Role: rv.role,
+		Sessions: s.sessions.Load(), InFlight: s.gate.inFlight(),
+		Rejected:  s.gate.rejectedCount(),
+		ROCommits: s.suite.Metrics.ROCommits(), ROAborts: s.suite.Metrics.ROAborts(),
+		TypedOps: s.suite.Metrics.TypedOps(), CommuteHits: s.suite.Metrics.CommuteHits(),
+	}
+	var ms mvcc.Stats
 	switch {
 	case rv.eng != nil:
+		es := rv.eng.Stats()
+		st.Shards = es.Shards
+		st.Commits, st.Aborts = es.Commits, es.Aborts
+		st.CrossCommits, st.CrossAborts, st.Redos = es.CrossCommits, es.CrossAborts, es.Redos
+		st.GroupBarriers, st.GroupSyncs = es.GroupBarriers, es.GroupSyncs
+		st.RecoveredTxns, st.SeededTxns = es.RecoveredTxns, es.SeededTxns
+		st.InDoubtFixed, st.WALCrashed = es.InDoubtFixed, es.WALCrashed
+		st.DedupHits, st.LeaseEpoch = es.DedupHits, es.LeaseEpoch
+		st.SeqEpochs, st.SeqBatched, st.SeqMaxBatch = es.SeqEpochs, es.SeqBatched, es.SeqMaxBatch
+		st.Epoch = rv.eng.Epoch()
 		ms = rv.eng.MVCCStats()
 	case rv.replica != nil:
-		ms = rv.replica.MVCCStats()
-	case s.be != nil:
-		if store := s.be.Snapshots(); store != nil {
-			ms = store.StoreStats()
-		}
-	}
-	st.MVCCVersions = ms.Versions
-	st.MVCCSnapshots = int64(ms.SnapshotsOpen)
-	st.MVCCWatermark = ms.Watermark
-	return st
-}
-
-func (s *Server) statsBase() Stats {
-	s.replMu.RLock()
-	role, eng, replica := s.role, s.eng, s.replica
-	s.replMu.RUnlock()
-	if eng != nil {
-		es := eng.Stats()
-		return Stats{
-			Substrate: s.opts.Substrate, Shards: es.Shards,
-			Commits: es.Commits, Aborts: es.Aborts,
-			CrossCommits: es.CrossCommits, CrossAborts: es.CrossAborts,
-			Redos:    es.Redos,
-			Sessions: s.sessions.Load(), InFlight: s.gate.inFlight(),
-			Rejected:      s.gate.rejectedCount(),
-			GroupBarriers: es.GroupBarriers, GroupSyncs: es.GroupSyncs,
-			RecoveredTxns: es.RecoveredTxns, SeededTxns: es.SeededTxns,
-			InDoubtFixed: es.InDoubtFixed, WALCrashed: es.WALCrashed,
-			DedupHits: es.DedupHits, LeaseEpoch: es.LeaseEpoch,
-			SeqEpochs: es.SeqEpochs, SeqBatched: es.SeqBatched,
-			SeqMaxBatch: es.SeqMaxBatch,
-			Role:        role, Epoch: eng.Epoch(),
-		}
-	}
-	if replica != nil {
-		rs := replica.Stats()
-		st := Stats{
-			Substrate: s.opts.Substrate, Shards: s.opts.Shards,
-			Sessions: s.sessions.Load(), InFlight: s.gate.inFlight(),
-			Rejected: s.gate.rejectedCount(),
-			Role:     role, Epoch: rs.Epoch,
-			ReplLag: s.ReplLag(), ReplReads: rs.ReadTxns,
-			Poisoned: rs.Poisoned,
-		}
+		rs := rv.replica.Stats()
+		st.Shards = s.opts.Shards
+		st.Epoch, st.ReplReads, st.Poisoned = rs.Epoch, rs.ReadTxns, rs.Poisoned
+		st.ReplLag = s.ReplLag()
 		for i, ss := range rs.Streams {
 			st.Watermarks = append(st.Watermarks, ss.Watermark)
 			// Commits counts committed branches folded onto the read
@@ -965,82 +660,72 @@ func (s *Server) statsBase() Stats {
 				st.Commits += uint64(ss.Committed)
 			}
 		}
-		return st
+		ms = rv.replica.MVCCStats()
 	}
-	commits, aborts := s.be.Stats()
-	barriers, syncs := s.group.Stats()
-	st := Stats{
-		Substrate: s.opts.Substrate, Commits: commits, Aborts: aborts,
-		Sessions: s.sessions.Load(), InFlight: s.gate.inFlight(),
-		Rejected:      s.gate.rejectedCount(),
-		GroupBarriers: barriers, GroupSyncs: syncs,
-		RecoveredTxns: len(s.recovered.State.Txns), SeededTxns: s.seeded,
-		DedupHits: s.dedupHits.Load(),
-	}
-	if s.log != nil {
-		st.WALCrashed = s.log.Crashed()
-	}
+	st.MVCCVersions = ms.Versions
+	st.MVCCSnapshots = int64(ms.SnapshotsOpen)
+	st.MVCCWatermark = ms.Watermark
 	return st
 }
 
 // Suite exposes the observability suite (metrics handler, leak check).
 func (s *Server) Suite() *obs.Suite { return s.suite }
 
-// Backend exposes the substrate backend (tests).
-func (s *Server) Backend() Backend { return s.be }
-
-// Recovered reports what startup recovery replayed.
-func (s *Server) Recovered() recovery.Report { return s.recovered }
-
-// GroupStats reports the commit-batching amortization counters.
-func (s *Server) GroupStats() (barriers, syncs uint64) {
-	if eng := s.Engine(); eng != nil {
-		return eng.GroupStats()
-	}
-	return s.group.Stats()
-}
-
-// WALSegments returns the durable image (for simulated-crash restart).
-func (s *Server) WALSegments() [][]byte {
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Segments()
-}
-
-// Engine exposes the sharded engine (nil when unsharded and
-// unreplicated, or on a not-yet-promoted follower).
+// Engine exposes the engine the server serves through (nil only on a
+// not-yet-promoted follower).
 func (s *Server) Engine() *shard.Engine {
 	s.replMu.RLock()
 	defer s.replMu.RUnlock()
 	return s.eng
 }
 
-// ShardImage returns the sharded durable image (for simulated-crash
-// restart through Options.RecoverFromImage); nil when not sharded.
-func (s *Server) ShardImage() *shard.Image {
-	eng := s.Engine()
-	if eng == nil {
-		return nil
+// Backend exposes shard 0's substrate backend — a 1-shard server's only
+// one (tests, probes); nil on a not-yet-promoted follower.
+func (s *Server) Backend() backend.Backend {
+	if eng := s.Engine(); eng != nil {
+		return eng.Backend(0)
 	}
-	return eng.Image()
+	return nil
 }
 
-// ShardRecovered reports the sharded recovery certificate.
-func (s *Server) ShardRecovered() shard.MultiReport {
-	eng := s.Engine()
-	if eng == nil {
-		return shard.MultiReport{}
+// GroupStats reports the commit-batching amortization counters.
+func (s *Server) GroupStats() (barriers, syncs uint64) {
+	if eng := s.Engine(); eng != nil {
+		return eng.GroupStats()
 	}
-	return eng.Recovered()
+	return 0, 0
+}
+
+// DedupHits reports how many retried requests were answered from the
+// engine's exactly-once table instead of re-executing.
+func (s *Server) DedupHits() uint64 {
+	if eng := s.Engine(); eng != nil {
+		return eng.DedupHits()
+	}
+	return 0
+}
+
+// ShardImage returns the durable image (for simulated-crash restart
+// through Options.RecoverFrom); nil on a not-yet-promoted follower.
+func (s *Server) ShardImage() *shard.Image {
+	if eng := s.Engine(); eng != nil {
+		return eng.Image()
+	}
+	return nil
+}
+
+// ShardRecovered reports what startup recovery replayed and resolved.
+func (s *Server) ShardRecovered() shard.MultiReport {
+	if eng := s.Engine(); eng != nil {
+		return eng.Recovered()
+	}
+	return shard.MultiReport{}
 }
 
 // WALCrashed reports whether the simulated process death fired.
 func (s *Server) WALCrashed() bool {
-	if eng := s.Engine(); eng != nil {
-		return eng.Crashed()
-	}
-	return s.log != nil && s.log.Crashed()
+	eng := s.Engine()
+	return eng != nil && eng.Crashed()
 }
 
 // LeakCheck asserts quiescent cleanliness: no open sessions, no
@@ -1056,57 +741,29 @@ func (s *Server) LeakCheck() error {
 	if err := s.suite.LeakCheck(); err != nil {
 		return err
 	}
-	s.replMu.RLock()
-	eng := s.eng
-	s.replMu.RUnlock()
-	if eng != nil {
+	if eng := s.Engine(); eng != nil {
 		return eng.LeakCheck()
 	}
-	if s.be == nil {
-		return nil // follower: no substrate of its own
-	}
-	return s.be.LeakCheck()
+	return nil // follower: no substrate of its own
 }
 
-// FinalCheck is the full post-run certificate: the shadow machine's
-// final check, its invariants, commit-order serializability over the
-// certified window, substrate conservation laws, and WAL I/O health.
+// FinalCheck is the full post-run certificate. A serving server's is
+// the engine's: per shard the shadow machine's final check, its
+// invariants, commit-order serializability over the certified window,
+// substrate conservation laws and WAL-hook health, plus the merged
+// cross-shard order. A follower's is the full recovery certificate over
+// its shipped bytes — exactly what a promotion would run.
 func (s *Server) FinalCheck() error {
-	s.replMu.RLock()
-	eng, replica := s.eng, s.replica
-	s.replMu.RUnlock()
-	if eng != nil {
-		return eng.FinalCheck()
+	rv := s.roleView()
+	if rv.eng != nil {
+		return rv.eng.FinalCheck()
 	}
-	if replica != nil {
-		// A follower's certificate is the full recovery certificate
-		// over its shipped bytes — exactly what a promotion would run.
-		if err := replica.Poisoned(); err != nil {
+	if rv.replica != nil {
+		if err := rv.replica.Poisoned(); err != nil {
 			return err
 		}
-		_, err := replica.Certify()
+		_, err := rv.replica.Certify()
 		return err
-	}
-	if err := s.be.CheckInvariant(); err != nil {
-		return err
-	}
-	if s.hook != nil {
-		if err := s.hook.Err(); err != nil {
-			return fmt.Errorf("server: WAL hook: %w", err)
-		}
-	}
-	rec := s.be.Recorder()
-	if rec == nil {
-		return nil
-	}
-	if err := rec.FinalCheck(); err != nil {
-		return err
-	}
-	if err := rec.Machine().Verify(); err != nil {
-		return fmt.Errorf("server: machine invariants: %w", err)
-	}
-	if rep := serial.CheckCommitOrder(rec.Machine()); !rep.Serializable {
-		return fmt.Errorf("server: commit order not serializable: %s", rep.Reason)
 	}
 	return nil
 }

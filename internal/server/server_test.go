@@ -123,6 +123,53 @@ func TestServerInteractive(t *testing.T) {
 	}
 }
 
+// TestServerInteractiveReplayDiverged: an interactive transaction whose
+// answered read goes stale before it commits must abort — the conflict
+// retry replays the journal, the re-executed Get no longer reproduces
+// what the client saw, and committing would certify values that never
+// coexisted. Nothing it wrote may land and nothing may leak.
+func TestServerInteractiveReplayDiverged(t *testing.T) {
+	s, addr := startServer(t, Options{Substrate: "tl2"})
+	a, b := dial(t, addr), dial(t, addr)
+	if resp, err := a.Begin(); err != nil || resp.Status != kvapi.StatusOK {
+		t.Fatalf("begin: %v %v", resp, err)
+	}
+	if resp, err := a.Get(4); err != nil || resp.Status != kvapi.StatusOK || resp.Results[0].Val != 0 {
+		t.Fatalf("get: %v %v", resp, err)
+	}
+	// Another client overwrites what a has already been told.
+	if resp, err := b.Do([]kvapi.Op{{Kind: kvapi.OpPut, Key: 4, Val: 44}}); err != nil || resp.Status != kvapi.StatusOK {
+		t.Fatalf("interfering put: %v %v", resp, err)
+	}
+	if resp, err := a.Put(5, 55); err != nil || resp.Status != kvapi.StatusOK {
+		// The conflict may already surface here on an eager substrate.
+		if err != nil || resp.Status != kvapi.StatusAborted {
+			t.Fatalf("put: %v %v", resp, err)
+		}
+	} else {
+		resp, err := a.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != kvapi.StatusAborted || !strings.Contains(resp.Msg, "replay diverged") {
+			t.Fatalf("commit over a stale read = %v (%q), want aborted: replay diverged", resp.Status, resp.Msg)
+		}
+	}
+	if n := s.sessions.Load(); n != 0 {
+		t.Fatalf("%d session(s) still open after the abort", n)
+	}
+	resp, err := b.Do([]kvapi.Op{{Kind: kvapi.OpGet, Key: 5}, {Kind: kvapi.OpGet, Key: 4}})
+	if err != nil || resp.Status != kvapi.StatusOK {
+		t.Fatalf("read-back: %v %v", resp, err)
+	}
+	if resp.Results[0].Found && resp.Results[0].Val != 0 || resp.Results[1].Val != 44 {
+		t.Fatalf("after the abort: key 5 = %+v (want untouched), key 4 = %+v (want 44)", resp.Results[0], resp.Results[1])
+	}
+	if err := s.FinalCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerDroppedConnection is the satellite-2 regression: a client
 // that disconnects mid-transaction must not leak the session, its span,
 // or its substrate locks. Exercised on pess too, whose interactive
@@ -342,6 +389,45 @@ func TestServerHTTP(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, prom)
 		}
+	}
+}
+
+// TestHTTPBodyBounded: POST /txn reads at most one frame's worth of
+// body. An oversized request is refused with a 4xx before admission
+// control is involved, so it cannot hold a slot, and the endpoint keeps
+// serving.
+func TestHTTPBodyBounded(t *testing.T) {
+	s, _ := startServer(t, Options{Substrate: "tl2", MaxInflight: 1, MaxQueue: -1})
+	haddr, err := s.StartHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + haddr.String() + "/txn"
+	// Valid JSON, padded past the bound: only its size is wrong.
+	huge := `{"ops":[{"op":"put","key":6,"val":66}]` + strings.Repeat(" ", 2*kvapi.MaxFrame) + `}`
+	hr, err := http.Post(url, "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, hr.Body)
+	hr.Body.Close()
+	if hr.StatusCode < 400 || hr.StatusCode >= 500 {
+		t.Fatalf("oversized POST /txn = %d, want 4xx", hr.StatusCode)
+	}
+	if v, _ := s.Backend().ReadKey(6); v != 0 {
+		t.Fatalf("oversized request executed: key 6 = %d", v)
+	}
+	if n := s.gate.inFlight(); n != 0 {
+		t.Fatalf("%d admission slot(s) held after the refusal", n)
+	}
+	// The only slot is free: a well-sized request commits.
+	hr, err = http.Post(url, "application/json", strings.NewReader(`{"ops":[{"op":"put","key":6,"val":66}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("POST /txn after the refusal = %d", hr.StatusCode)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestShardSmoke(t *testing.T) {
 	s2, err := New(Options{
 		Substrate: "tl2", Shards: shards, Keys: 32 * shards, Seed: 12,
 		Durable: true, SyncPolicy: wal.SyncOnCommit,
-		RecoverFromImage: img,
+		RecoverFrom: img,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)

@@ -110,7 +110,7 @@ func TestServeCampaign(t *testing.T) {
 			}
 			res1 := run(s1, 15*time.Second, false)
 			t.Logf("%s first half:  %s", sub, res1)
-			segs := s1.WALSegments()
+			img := s1.ShardImage()
 			s1.Stop()
 			if err := s1.LeakCheck(); err != nil {
 				t.Fatal(err)
@@ -118,11 +118,11 @@ func TestServeCampaign(t *testing.T) {
 
 			// Restart: certified recovery before traffic resumes.
 			s2, err := New(Options{Substrate: sub, Keys: 64, Seed: 23,
-				Durable: true, SyncPolicy: wal.SyncOnCommit, RecoverFrom: segs})
+				Durable: true, SyncPolicy: wal.SyncOnCommit, RecoverFrom: img})
 			if err != nil {
 				t.Fatalf("mid-campaign restart: %v", err)
 			}
-			if len(segs) > 0 && len(s2.Recovered().State.Txns) == 0 {
+			if !img.Empty() && s2.ShardRecovered().RecoveredTxns() == 0 {
 				t.Fatal("restart recovered nothing")
 			}
 			res2 := run(s2, 15*time.Second, true)

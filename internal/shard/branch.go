@@ -11,8 +11,11 @@ import (
 
 // A branch is one shard's slice of a transaction: a dedicated
 // goroutine running the shard backend's Atomic whose closure blocks on
-// a channel waiting for the next operation (the interactive-session
-// pattern from internal/server, extended with a prepare/decide stage).
+// a channel waiting for the next operation. The substrates' Atomic
+// functions own retry/undo/locking and expect the whole transaction
+// body as one closure, so a transaction that stays live across client
+// round trips (an interactive Txn) or across a coordinator's
+// prepare/decide stage has to park inside that closure.
 //
 // In Push/Pull terms: feeding an operation to a branch APPs and PUSHes
 // it on the participant shard's machine; cmdPrepare ends the branch's
@@ -264,13 +267,13 @@ func (b *branch) body(v view) error {
 }
 
 // typedDo routes one typed ADT operation through the backend's typed
-// surface (shard.OpKind values mirror ops.Code numerically).
+// surface.
 func typedDo(v view, k OpKind, key uint64, a, b int64) (ret int64, commuted bool, err error) {
 	tv, ok := v.(backend.TypedView)
 	if !ok {
 		return 0, false, fmt.Errorf("shard: op %v: typed operations unsupported on this substrate", k)
 	}
-	return tv.Typed(typedops.Code(k), key, a, b)
+	return tv.Typed(k, key, a, b)
 }
 
 // await blocks for the coordinator's decision: nil commits the
@@ -295,7 +298,7 @@ func (b *branch) puts() []KV {
 		case cmdPut:
 			out = append(out, KV{Key: j.key, Val: j.val, Method: typedops.WPut})
 		case cmdTyped:
-			m, val, write, ok := typedops.Effect(typedops.Code(j.opKind), j.val, j.arg, j.retVal)
+			m, val, write, ok := typedops.Effect(j.opKind, j.val, j.arg, j.retVal)
 			if !ok || !write {
 				continue // reads, and ops barred from cross-shard txns
 			}

@@ -27,7 +27,8 @@ type view = backend.View
 // Options configure an Engine.
 type Options struct {
 	// Shards is the partition count (default 1 — the degenerate engine
-	// is a plain single-machine backend).
+	// is a plain single-machine backend, and the one the server runs
+	// when nothing asks for more).
 	Shards int
 	// Substrate selects the TM implementation on every shard.
 	Substrate string
@@ -37,14 +38,15 @@ type Options struct {
 	// DisableCert drops the per-shard certifying shadow machines.
 	DisableCert bool
 	// Retry bounds substrate-level conflict retries (shared by all
-	// shards, like the single-machine server).
+	// shards).
 	Retry *chaos.RetryPolicy
 	// Plan, when non-nil, derives per-shard fault plans (Plan.ForShard)
 	// and drives the coordinator death sites coord/prepared and
 	// coord/commit on the engine's own injector.
 	Plan *chaos.Plan
-	// WALDir backs the per-shard WALs (WALDir/shard-NN/) and the
-	// coordinator log (WALDir/coord.log); Durable keeps them in memory.
+	// WALDir backs the per-shard WALs (WALDir/shard-NN/; flat in WALDir
+	// itself at Shards == 1, see recover.go) and the coordinator log
+	// (WALDir/coord.log); Durable keeps them in memory.
 	WALDir       string
 	Durable      bool
 	SyncPolicy   wal.SyncPolicy
@@ -245,7 +247,7 @@ func New(opts Options) (*Engine, error) {
 
 	durable := opts.WALDir != "" || opts.Durable
 	if opts.WALDir != "" {
-		if err := archiveImageDir(opts.WALDir, opts.Shards); err != nil {
+		if err := archiveImageDir(opts.WALDir); err != nil {
 			return nil, err
 		}
 	}
@@ -262,15 +264,22 @@ func New(opts Options) (*Engine, error) {
 		if durable {
 			dir := ""
 			if opts.WALDir != "" {
-				dir = filepath.Join(opts.WALDir, shardDirName(i))
+				dir = shardWALDir(opts.WALDir, i, opts.Shards)
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					return nil, fmt.Errorf("shard: creating %s: %w", dir, err)
 				}
 			}
-			// Same log-force-at-commit shape as the single-machine
-			// server: under SyncOnCommit the log opens non-syncing and
-			// the per-shard group-commit leader forces it at the barrier,
-			// outside every substrate lock.
+			// Log force at commit. Under SyncOnCommit the log itself
+			// would fsync inside Append — which the machine hook calls
+			// while the substrate holds its commit locks and the shadow
+			// session is open. Stretching the locked section ~100x starves
+			// recorder compaction (it needs an idle instant), the
+			// certification window grows without bound, and throughput
+			// death-spirals. Instead the log opens non-syncing and the
+			// shard's group-commit leader forces it at the commit barrier,
+			// outside every lock, after the CMT record is appended and
+			// before the client is acknowledged: durability is unchanged
+			// and concurrent committers share one fsync.
 			logPolicy := opts.SyncPolicy
 			forceAtBarrier := opts.SyncPolicy == wal.SyncOnCommit
 			if forceAtBarrier {
@@ -664,7 +673,9 @@ func (e *Engine) ackGate() error {
 	return nil
 }
 
-// doSingle runs the unchanged single-machine path on the home shard.
+// doSingle runs a one-shot whose footprint is one shard directly on
+// that shard's backend: one Atomic, no branch goroutine, no
+// coordinator.
 func (e *Engine) doSingle(sid int, ops []Op, sess *sessInfo) ([]Result, uint32, error) {
 	st := e.shards[sid]
 	name := fmt.Sprintf("t%d", e.seq.Add(1))
@@ -936,7 +947,7 @@ func (e *Engine) applyRedoOnce(st *shardState, name string, puts []KV) error {
 			}
 			// Logical-op entry: replay the operation, not a final
 			// value — a redo racing a concurrent add folds both.
-			if _, _, err := typedDo(v, OpKind(kv.Method.Code()), kv.Key, kv.Val, 0); err != nil {
+			if _, _, err := typedDo(v, kv.Method.Code(), kv.Key, kv.Val, 0); err != nil {
 				return err
 			}
 		}

@@ -201,15 +201,33 @@ func RecoverAndCertifyImage(img *Image, substrate string) (MultiReport, error) {
 	return out, nil
 }
 
+// The on-disk layout. An engine of two or more shards keeps shard i's
+// segments under dir/shard-NN/; a 1-shard engine keeps its only log's
+// segments flat in dir itself — the layout a plain single-machine
+// server has always written, so wal.ReadDir(dir) reads a 1-shard
+// server's whole log. coord.log sits in dir either way. Reading
+// accepts both shapes for shard 0 (a 1-shard engine used to write
+// shard-00/ as well) and refuses a directory that holds both.
+
 // shardDirName names shard i's WAL subdirectory.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 
+// shardWALDir is where shard i of n keeps its segments under dir.
+func shardWALDir(dir string, i, n int) string {
+	if n == 1 {
+		return dir
+	}
+	return filepath.Join(dir, shardDirName(i))
+}
+
 const coordLogName = "coord.log"
 
-// ReadImageDir loads a sharded engine's durable image from dir
-// (shard-NN/wal-*.seg subdirectories plus coord.log). A missing
-// directory is an empty image (first boot). Returns the image and the
-// number of shard directories found (0 when none).
+// ReadImageDir loads an engine's durable image from dir: flat
+// wal-*.seg files as shard 0, shard-NN/wal-*.seg subdirectories, and
+// coord.log. A missing directory is an empty image (first boot).
+// Returns the image and the number of shard logs found (0 when none);
+// a directory with segments in both the flat and the shard-NN shape is
+// an error — serving either half would drop the other's commits.
 func ReadImageDir(dir string) (*Image, int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
@@ -217,6 +235,7 @@ func ReadImageDir(dir string) (*Image, int, error) {
 	}
 	img := &Image{}
 	found := 0
+	nested, shard0 := false, false // any shard-NN/ segment; a shard-00/ directory
 	for _, m := range matches {
 		if fi, err := os.Stat(m); err != nil || !fi.IsDir() {
 			continue
@@ -233,7 +252,25 @@ func ReadImageDir(dir string) (*Image, int, error) {
 			img.Shards = append(img.Shards, nil)
 		}
 		img.Shards[idx] = segs
+		nested = nested || len(segs) > 0
+		shard0 = shard0 || idx == 0
 		found++
+	}
+	flat, err := wal.ReadDir(dir)
+	if err != nil {
+		return nil, 0, fmt.Errorf("shard: reading %s: %w", dir, err)
+	}
+	if len(flat) > 0 {
+		if nested {
+			return nil, 0, fmt.Errorf("shard: %s holds both flat wal-*.seg files and shard-NN/ segments; refusing to guess which log is live", dir)
+		}
+		if len(img.Shards) == 0 {
+			img.Shards = make([][][]byte, 1)
+		}
+		img.Shards[0] = flat
+		if !shard0 { // an emptied shard-00/ already counted shard 0
+			found++
+		}
 	}
 	coordPath := filepath.Join(dir, coordLogName)
 	if b, err := os.ReadFile(coordPath); err == nil {
@@ -244,45 +281,34 @@ func ReadImageDir(dir string) (*Image, int, error) {
 	return img, found, nil
 }
 
-// archiveImageDir moves the previous epoch's shard WAL segments and
-// coordinator log into the next free epoch-NNN subdirectory, freeing
-// the namespace for fresh logs while preserving the pre-crash image.
-func archiveImageDir(dir string, shards int) error {
+// archiveImageDir moves the previous epoch's WAL segments (flat and
+// shard-NN/ alike) and coordinator log into the next free epoch-NNN
+// subdirectory, freeing the namespace for fresh logs while preserving
+// the pre-crash image — and leaving nothing a later boot could
+// half-read as a mixed image.
+func archiveImageDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: creating WAL dir: %w", err)
 	}
-	var toMove []string
-	for i := 0; i < shards; i++ {
-		m, err := filepath.Glob(filepath.Join(dir, shardDirName(i), "wal-*.seg"))
-		if err != nil {
-			return err
-		}
-		toMove = append(toMove, m...)
+	toMove, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		return err
 	}
-	// Stale shard dirs beyond the configured count are archived too, so
-	// a later boot cannot half-read a mixed image.
-	extra, _ := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
-	seen := make(map[string]bool, len(toMove))
-	for _, m := range toMove {
-		seen[m] = true
+	nested, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
+	if err != nil {
+		return err
 	}
-	for _, m := range extra {
-		if !seen[m] {
-			toMove = append(toMove, m)
-		}
+	toMove = append(toMove, nested...)
+	if coordPath := filepath.Join(dir, coordLogName); fileExists(coordPath) {
+		toMove = append(toMove, coordPath)
 	}
-	coordPath := filepath.Join(dir, coordLogName)
-	haveCoord := false
-	if _, err := os.Stat(coordPath); err == nil {
-		haveCoord = true
-	}
-	if len(toMove) == 0 && !haveCoord {
+	if len(toMove) == 0 {
 		return nil
 	}
 	var epoch string
 	for n := 1; ; n++ {
 		epoch = filepath.Join(dir, fmt.Sprintf("epoch-%03d", n))
-		if _, err := os.Stat(epoch); os.IsNotExist(err) {
+		if !fileExists(epoch) {
 			break
 		}
 	}
@@ -299,13 +325,10 @@ func archiveImageDir(dir string, shards int) error {
 			return fmt.Errorf("shard: archiving %s: %w", m, err)
 		}
 	}
-	if haveCoord {
-		if err := os.MkdirAll(epoch, 0o755); err != nil {
-			return err
-		}
-		if err := os.Rename(coordPath, filepath.Join(epoch, coordLogName)); err != nil {
-			return fmt.Errorf("shard: archiving %s: %w", coordPath, err)
-		}
-	}
 	return nil
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -18,11 +18,7 @@
 // cross-shard serializability obligation.
 package shard
 
-import (
-	"fmt"
-
-	"pushpull/internal/ops"
-)
+import "pushpull/internal/ops"
 
 // ShardOf maps a key to its home shard among n by a splitmix64
 // finalizer — a pure function of (key, n), so the placement is stable
@@ -60,43 +56,29 @@ func NewRouter(n int) Router {
 // Shard returns key's home shard.
 func (r Router) Shard(key uint64) int { return ShardOf(key, r.N) }
 
-// OpKind discriminates engine operations. Values mirror
-// kvapi.OpKind numerically (pinned by TestShardKindsMatchWire in the
-// server package) so the wire→engine conversion is a cast.
-type OpKind uint8
+// OpKind discriminates engine operations: it is ops.Code, the same
+// type the wire decodes into.
+type OpKind = ops.Code
 
 // Operation kinds. OpAdd and beyond are the typed
 // (commutativity-aware) operations executed on boosted ADT cells.
 const (
-	OpGet OpKind = iota
-	OpPut
-	OpAdd
-	OpCGet
-	OpWd
-	OpCAS
-	OpSAdd
-	OpSRem
-	OpSCont
-	OpQPush
-	OpQPop
-	numOpKinds
+	OpGet   = ops.Get
+	OpPut   = ops.Put
+	OpAdd   = ops.Add
+	OpCGet  = ops.CGet
+	OpWd    = ops.Wd
+	OpCAS   = ops.CAS
+	OpSAdd  = ops.SAdd
+	OpSRem  = ops.SRem
+	OpSCont = ops.SCont
+	OpQPush = ops.QPush
+	OpQPop  = ops.QPop
 )
 
-// Typed reports whether the kind is a typed ADT operation (anything
-// beyond the plain register get/put pair).
-func (k OpKind) Typed() bool { return k >= OpAdd && k < numOpKinds }
-
-// Op is one engine operation. The engine has its own op type (rather
-// than the kvapi wire one) so the dependency points the right way:
-// kvapi's load generator imports shard for routing; shard imports
-// nothing above the backend layer. Arg is the second typed operand
-// (CAS: Val=expect, Arg=new).
-type Op struct {
-	Kind OpKind
-	Key  uint64
-	Val  int64
-	Arg  int64
-}
+// Op is one engine operation — the wire's decoded op, executed as is
+// (kvapi.Op names the same type).
+type Op = ops.Op
 
 // Result answers one Op (Put results are zero). Commuted marks a typed
 // op that acquired its abstract lock in a shared commute class.
@@ -126,33 +108,4 @@ func partition(ops []Op, r Router) ([][]opAt, int) {
 		parts[s] = append(parts[s], opAt{op: op, idx: i})
 	}
 	return parts, participants
-}
-
-func (k OpKind) String() string {
-	switch k {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpAdd:
-		return "incr"
-	case OpCGet:
-		return "cget"
-	case OpWd:
-		return "wd"
-	case OpCAS:
-		return "cas"
-	case OpSAdd:
-		return "sadd"
-	case OpSRem:
-		return "srem"
-	case OpSCont:
-		return "scont"
-	case OpQPush:
-		return "qpush"
-	case OpQPop:
-		return "qpop"
-	default:
-		return fmt.Sprintf("op%d", uint8(k))
-	}
 }

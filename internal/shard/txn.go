@@ -5,11 +5,26 @@ import (
 	"sort"
 )
 
-// Txn is an interactive sharded transaction: branches open lazily on
-// the shards the client actually touches, each answered read is
-// validated on conflict replay (the client has seen it), and Commit
-// runs the direct path when one shard participated or the two-phase
-// coordinator otherwise.
+// Txn is an interactive transaction — the one driver behind the wire's
+// Begin/Get/Put/Commit/Abort, at any shard count: branches open lazily
+// on the shards the client actually touches, and Commit runs the
+// direct path when one shard participated (always, at one shard) or
+// the two-phase coordinator otherwise.
+//
+//	idle --Begin--> open --Get/Put--> open
+//	open --Commit--> idle   (substrate commit, durable barrier)
+//	open --Abort---> idle   (undo + UNAPP; ErrClientAbort)
+//	open --conflict/retry exhaustion/replay divergence--> idle (error)
+//	open --Abandon--> idle  (connection drop: same abort, nobody to answer)
+//
+// On a substrate-level conflict the branch closure is re-entered: it
+// first REPLAYS the journal of operations already answered, validating
+// that every re-executed Get reproduces the value the client saw. A
+// divergence means the client holds stale reads — the transaction
+// aborts (ErrReplayDiverged) rather than committing one whose observed
+// values never coexisted. This is the interactive analogue of the
+// recorder's rule: a transaction certifies only if its operation log
+// denotes against the sequential spec.
 type Txn struct {
 	e        *Engine
 	name     string
