@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke benchmark-smoke bench bench-repl bench-mvcc bench-seq bench-ops ci
+.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke benchmark-smoke bench ci
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,7 @@ chaos-smoke:
 # The full campaign: 50 plan seeds per target, non-zero exit on any
 # serializability/invariant/leak violation.
 chaos:
-	$(GO) run ./cmd/pushpull-chaos
+	$(GO) run ./cmd/pushpull-check chaos
 
 # Crash-recovery smoke: every target runs with the WAL attached and a
 # scheduled process death; the durable prefix must recover and
@@ -38,7 +38,7 @@ crash-smoke:
 # The full crash campaign: 50 crash plans per target, non-zero exit on
 # any recovery certification failure (prints the failing plan seed).
 crash:
-	$(GO) run ./cmd/pushpull-crash
+	$(GO) run ./cmd/pushpull-check crash
 
 # Observability smoke: an instrumented bench run plus a certified
 # chaos run with the metrics/span suite attached; fails on any leaked
@@ -47,10 +47,12 @@ obs-smoke:
 	$(GO) test ./internal/bench/ -run 'TestObsSmoke|TestObsSnapshotConsistency' -v
 
 # The full instrumented sweep: 50 plan seeds per target, writes a
-# Prometheus metrics dump and a chrome://tracing timeline, non-zero
-# exit on any violation or leaked span.
+# Prometheus metrics dump and a chrome://tracing timeline under
+# .bench_build/ (git-ignored), non-zero exit on any violation or
+# leaked span.
 obs:
-	$(GO) run ./cmd/pushpull-obs -metrics metrics.prom -trace timeline.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/pushpull-check chaos -metrics .bench_build/metrics.prom -trace .bench_build/timeline.json
 
 # Server smoke: boot the durable KV server on tl2 and hybrid, run a
 # short wire-protocol load campaign (one-shot + interactive) against
@@ -74,16 +76,10 @@ shard-smoke:
 # Replication smoke: the in-process three-node campaign (real TCP,
 # redirect-following writes, one forced failover with a certified
 # promotion), then the same shape as a live primary + 2-follower
-# cluster through the pushpull-repl binary.
+# cluster through `pushpull-check cluster`.
 repl-smoke:
 	$(GO) test ./internal/server/ -run TestReplSmoke -v
-	$(GO) run ./cmd/pushpull-repl -replicas 2 -threads 3 -ops 40 -keys 12 -seed 5
-
-# The full failover sweep: 50 chaos plans (coordinator death, WAL
-# crash, lossy replication links), every promotion re-certified,
-# non-zero exit if any acknowledged transaction is lost.
-repl:
-	$(GO) run ./cmd/pushpull-repl
+	$(GO) run ./cmd/pushpull-check cluster -replicas 2 -threads 3 -ops 40 -keys 12 -seed 5
 
 # Self-healing smoke: an in-process three-node cluster under sessioned
 # load; the supervisor detects the killed primary over the wire, waits
@@ -94,11 +90,17 @@ repl:
 failover-smoke:
 	$(GO) test ./internal/server/ -run 'TestFailoverSmoke|TestDeposedPrimaryFenced|TestFollowerRedirectLoopTerminates' -v
 
-# The full partitioned failover sweep: 50 seeds of crashes plus
-# full/asymmetric link partitions, lease-fenced zombie deposal,
-# sessioned retries cross-checked through the history checker.
+# The full failover sweep: 50 seeds of coordinator death, WAL crashes,
+# lossy replication links and full/asymmetric link partitions;
+# lease-fenced zombie deposal, every promotion re-certified, sessioned
+# retries cross-checked through the history checker, non-zero exit if
+# any acknowledged transaction is lost.
 failover:
-	$(GO) run ./cmd/pushpull-repl -seeds 50
+	$(GO) run ./cmd/pushpull-check failover
+
+# The replication sweep is the failover sweep (one target, one name kept
+# for muscle memory).
+repl: failover
 
 # MVCC snapshot-read smoke: a replicated sharded primary + follower
 # under a 90%-read-only skewed wire campaign (the read-only class must
@@ -122,13 +124,13 @@ seq-smoke:
 # boundary table (partial ops abort, total ops commit concurrently
 # with commute hits), a typed wire campaign recovered byte-identically
 # from its logical-op WAL, the follower fold reaching the same bytes
-# through promotion, and the typed metrics counters under -race.
+# through promotion, typed vs blind GET-then-PUT abort ratios on the
+# same hot counters, and the typed metrics counters under -race.
 ops-smoke:
 	$(GO) test ./internal/ops/ -v
 	$(GO) test ./internal/stm/boost/ -run 'TestLimitsBoundary|TestTotalOpsCommitConcurrently|TestEscrowGuardSpansHolders' -v
-	$(GO) test ./internal/server/ -run 'TestOpsSmoke|TestOpsFollowerFold' -v
+	$(GO) test ./internal/server/ -run 'TestOpsSmoke|TestOpsFollowerFold|TestOpsTypedVsBlindRMW' -v
 	$(GO) test -race ./internal/obs/metrics/ -run TestTypedCountersSnapshotConsistency -v
-	$(GO) test ./internal/bench/ -run 'TestOpsBenchSmoke|TestParseOpMixRejectsUnknown' -v
 
 # The benchmark is a module of its own (benchmark/, replaced onto this
 # one), so `go build ./... && go test ./...` never sees it: this is what
@@ -137,33 +139,12 @@ ops-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
+# The repo's one benchmark: four wire workloads, end-to-end and
+# per-layer metrics (benchmark/README.md; `-repeat N -check` diffs
+# against benchmark/baseline.json). The Go micro-benchmarks are
+# `go test -bench=. -benchmem ./...`, the paper's qualitative tables
+# `go run ./cmd/pushpull-bench`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the committed replication benchmark numbers.
-bench-repl:
-	$(GO) run ./cmd/pushpull-repl -bench -duration 2s > BENCH_repl.json
-	@cat BENCH_repl.json
-
-# Regenerate the committed read-only snapshot benchmark: 90% declared
-# read-only traffic at skew 1.2 against a live server; ro_aborts must
-# read 0. (Boot a server with `go run ./cmd/pushpull-server` first, or
-# use the defaults against 127.0.0.1:7070.)
-bench-mvcc:
-	$(GO) run ./cmd/pushpull-load -clients 32 -duration 10s -skew 1.2 -readonly-pct 90 -json > BENCH_mvcc.json
-	@cat BENCH_mvcc.json
-
-# Regenerate the committed sequencer benchmark: interleaved
-# mutex-coordinator vs sequencer rounds, both sides certified.
-bench-seq:
-	$(GO) run ./cmd/pushpull-seq -duration 6s -rounds 6 -batch-interval 1ms > BENCH_seq.json
-	@cat BENCH_seq.json
-
-# Regenerate the committed hot-counter benchmark: the same skewed
-# increment-heavy load through typed commuting ops vs the blind
-# GET-then-PUT read-modify-write, both legs certified at shutdown.
-bench-ops:
-	$(GO) run ./cmd/pushpull-hot -json > BENCH_ops.json
-	@cat BENCH_ops.json
+	bash benchmark/run.sh
 
 ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke benchmark-smoke

@@ -213,7 +213,7 @@ func benchSubstrate(b *testing.B, name string, keys, yield int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.AbortRatio(), "aborts/commit")
+		b.ReportMetric(res.AbortRatio(), "abort_ratio")
 	}
 }
 

@@ -1,260 +1,112 @@
-// Command pushpull-check certifies concurrent transactional executions
-// against the Push/Pull model:
+// Command pushpull-check certifies executions against the Push/Pull
+// model — one binary, one subcommand per way of producing an execution:
 //
-//	pushpull-check -mode random -strategy optimistic -threads 4 -txns 5 -seeds 50
+//	pushpull-check random -strategy optimistic -threads 4 -txns 5 -seeds 50
 //	    stress-runs a random workload under the strategy across seeds,
 //	    certifying serializability (Theorem 5.17) of every run;
 //
-//	pushpull-check -mode exhaustive
+//	pushpull-check exhaustive
 //	    model-checks EVERY interleaving of a small two-transaction
 //	    program, certifying all terminal states;
 //
-//	pushpull-check -mode substrate -substrate tl2 -threads 4 -txns 200
+//	pushpull-check substrate -substrate tl2 -threads 4 -txns 200
 //	    runs the real goroutine-concurrent substrate with the shadow
 //	    machine attached and reports the certification verdict;
 //	    -record out.json additionally journals the certified commits
 //	    to a history file;
 //
-//	pushpull-check -mode replay -history out.json
+//	pushpull-check replay -history out.json
 //	    re-certifies a recorded history offline on a fresh shadow
-//	    machine (tampered histories fail).
+//	    machine (tampered histories fail);
+//
+//	pushpull-check trace -demo fig2
+//	    runs transactions on the machine and prints their rule
+//	    decomposition (see trace.go);
+//
+//	pushpull-check chaos | crash | failover
+//	    the certified seed sweeps: fault injection over every target,
+//	    crash-recovery over every single-log target, replicated
+//	    failover (see sweep.go);
+//
+//	pushpull-check cluster -replicas 2
+//	    a live loopback primary + followers under a supervisor, with an
+//	    automatic certified promotion (see cluster.go).
+//
+// Exit status: 0 certified, 1 a violation or runtime failure, 2 usage.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-
-	"pushpull"
-	"pushpull/internal/adt"
-	"pushpull/internal/bench"
-	"pushpull/internal/history"
-	"pushpull/internal/spec"
-	"pushpull/internal/stm/boost"
-	"pushpull/internal/stm/dep"
-	"pushpull/internal/stm/pess"
-	"pushpull/internal/stm/tl2"
-	"pushpull/internal/trace"
 )
 
-func main() {
-	mode := flag.String("mode", "random", "random | exhaustive | substrate")
-	strat := flag.String("strategy", "optimistic", "model strategy (see pushpull-bench -list)")
-	substrate := flag.String("substrate", "tl2", "substrate: tl2 | pess | boost | dep")
-	threads := flag.Int("threads", 3, "worker threads")
-	txns := flag.Int("txns", 4, "transactions (model: per thread; substrate: per goroutine)")
-	keys := flag.Int("keys", 6, "key range (contention)")
-	seeds := flag.Int("seeds", 20, "number of scheduler seeds to try (random mode)")
-	record := flag.String("record", "", "write the certified history to this JSON file (substrate mode)")
-	histFile := flag.String("history", "", "history file to re-certify (replay mode)")
-	flag.Parse()
-
-	switch *mode {
-	case "random":
-		checkRandom(*strat, *threads, *txns, *keys, *seeds)
-	case "exhaustive":
-		checkExhaustive()
-	case "substrate":
-		checkSubstrate(*substrate, *threads, *txns, *keys, *record)
-	case "replay":
-		checkReplay(*histFile)
-	default:
-		fmt.Fprintln(os.Stderr, "pushpull-check: unknown -mode", *mode)
-		os.Exit(2)
-	}
+// command is one subcommand: it parses args with its own flag set,
+// prints results to stdout and diagnostics to stderr.
+type command struct {
+	name    string
+	summary string
+	run     func(args []string, stdout, stderr io.Writer) error
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pushpull-check:", err)
-	os.Exit(1)
+var commands = []command{
+	{"random", "stress a model strategy across scheduler seeds", checkRandom},
+	{"exhaustive", "model-check every interleaving of a small program", checkExhaustive},
+	{"substrate", "run a real substrate under the shadow machine", checkSubstrate},
+	{"replay", "re-certify a recorded history offline", checkReplay},
+	{"trace", "print a run's Push/Pull rule decomposition", traceCmd},
+	{"chaos", "fault-injection sweep: 50 plan seeds x every target", sweepCmd("chaos")},
+	{"crash", "crash-recovery sweep: 50 crash plans x every single-log target", sweepCmd("crash")},
+	{"failover", "replicated failover sweep: 50 seeds of crashes + partitions", sweepCmd("failover")},
+	{"cluster", "live loopback cluster with an automatic certified promotion", clusterCmd},
 }
 
-func checkRandom(strat string, threads, txns, keys, seeds int) {
-	bad := 0
-	for seed := 1; seed <= seeds; seed++ {
-		res, err := bench.RunModel(bench.ModelParams{
-			Strategy: strat, Threads: threads, TxnsEach: txns, Keys: keys,
-			ReadPct: 25, Seed: int64(seed),
-		})
-		if err != nil {
-			fail(err)
-		}
-		verdict := "serializable"
-		if !res.Serializable {
-			verdict = "NOT SERIALIZABLE"
-			bad++
-		}
-		fmt.Printf("seed %3d: commits=%d aborts=%d gaveup=%d opaque=%v → %s\n",
-			seed, res.Commits, res.Aborts, res.GaveUp, res.Opaque, verdict)
-	}
-	if bad > 0 {
-		fail(fmt.Errorf("%d/%d runs failed certification", bad, seeds))
-	}
-	fmt.Printf("all %d runs certified serializable (strategy %s)\n", seeds, strat)
-}
+// errUsage marks a command-line error the flag package (or the
+// subcommand) has already reported on stderr.
+var errUsage = errors.New("usage")
 
-func checkExhaustive() {
-	reg := pushpull.StandardRegistry()
-	m := pushpull.NewMachine(reg, pushpull.Options{Mode: pushpull.MoverHybrid, EnforceGray: true})
-	env := pushpull.NewEnv()
-	cfg := pushpull.DriverConfig{Deterministic: true, RetryLimit: 2}
-	t1, t2 := m.Spawn("t1"), m.Spawn("t2")
-	ds := []pushpull.Driver{
-		pushpull.NewOptimistic("t1", t1,
-			[]pushpull.Txn{pushpull.MustParseTxn(`tx a { ctr.inc(); set.add(1); }`)}, cfg, env),
-		pushpull.NewBoosting("t2", t2,
-			[]pushpull.Txn{pushpull.MustParseTxn(`tx b { set.add(2); ctr.inc(); }`)}, cfg, env),
-	}
-	res, err := pushpull.Explore(m, env, ds, 100, func(fm *pushpull.Machine) error {
-		if rep := pushpull.CheckCommitOrder(fm); !rep.Serializable {
-			return fmt.Errorf("unserializable terminal: %v", rep)
-		}
-		return nil
-	})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("explored %d terminal interleavings (%d deadlock nodes, %d pruned): all serializable\n",
-		res.Terminals, res.Deadlocks, res.Pruned)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func checkSubstrate(name string, threads, txns, keys int, record string) {
-	reg := spec.NewRegistry()
-	reg.Register("mem", adt.Register{})
-	reg.Register("ht", adt.Map{})
-	rec := trace.NewRecorder(reg)
-	if record != "" {
-		rec.Journal = true
-	}
-
-	runWorkers := func(do func(g, i int) error) {
-		done := make(chan error, threads)
-		for g := 0; g < threads; g++ {
-			go func(g int) {
-				for i := 0; i < txns; i++ {
-					if err := do(g, i); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}(g)
-		}
-		for g := 0; g < threads; g++ {
-			if err := <-done; err != nil {
-				fail(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name != args[0] {
+				continue
 			}
+			err := c.run(args[1:], stdout, stderr)
+			switch {
+			case err == nil, errors.Is(err, flag.ErrHelp):
+				return 0
+			case errors.Is(err, errUsage):
+				return 2
+			}
+			fmt.Fprintln(stderr, "pushpull-check:", err)
+			return 1
 		}
+		fmt.Fprintf(stderr, "pushpull-check: unknown subcommand %q\n", args[0])
 	}
-
-	switch name {
-	case "tl2":
-		m := tl2.New(keys)
-		m.Recorder = rec
-		runWorkers(func(g, i int) error {
-			addr := (g + i) % keys
-			return m.AtomicNamed(fmt.Sprintf("g%d-%d", g, i), func(tx *tl2.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil {
-					return err
-				}
-				return tx.Write(addr, v+1)
-			})
-		})
-	case "pess":
-		m := pess.New(keys)
-		m.Recorder = rec
-		runWorkers(func(g, i int) error {
-			addr := (g + i) % keys
-			return m.AtomicNamed(fmt.Sprintf("g%d-%d", g, i), func(tx *pess.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil {
-					return err
-				}
-				return tx.Write(addr, v+1)
-			})
-		})
-	case "boost":
-		rt := boost.NewRuntime()
-		rt.Recorder = rec
-		ht := boost.NewMap(rt, "ht", 1)
-		runWorkers(func(g, i int) error {
-			key := int64((g + i) % keys)
-			return rt.Atomic(fmt.Sprintf("g%d-%d", g, i), func(tx *boost.Txn) error {
-				v, present, err := ht.Get(tx, key)
-				if err != nil {
-					return err
-				}
-				if !present {
-					v = 0
-				}
-				_, _, err = ht.Put(tx, key, v+1)
-				return err
-			})
-		})
-	case "dep":
-		m := dep.New(keys)
-		m.Recorder = rec
-		runWorkers(func(g, i int) error {
-			addr := (g + i) % keys
-			return m.Atomic(fmt.Sprintf("g%d-%d", g, i), func(tx *dep.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil {
-					return err
-				}
-				return tx.Write(addr, v+1)
-			})
-		})
-	default:
-		fail(fmt.Errorf("unknown substrate %q", name))
+	fmt.Fprintln(stderr, "usage: pushpull-check <subcommand> [flags]   (-h after a subcommand lists its flags)")
+	for _, c := range commands {
+		fmt.Fprintf(stderr, "  %-11s %s\n", c.name, c.summary)
 	}
-
-	if err := rec.FinalCheck(); err != nil {
-		for _, v := range rec.Violations() {
-			fmt.Fprintln(os.Stderr, "  ", v)
-		}
-		fail(err)
-	}
-	fmt.Printf("substrate %s: %d commits certified against the Push/Pull model, 0 violations\n",
-		name, rec.Commits())
-	if record != "" {
-		f := history.Capture(rec, []history.ObjectDecl{
-			{Name: "mem", Type: "register"}, {Name: "ht", Type: "map"},
-		})
-		out, err := os.Create(record)
-		if err != nil {
-			fail(err)
-		}
-		defer out.Close()
-		if err := history.Save(out, f); err != nil {
-			fail(err)
-		}
-		fmt.Printf("history with %d transactions written to %s\n", len(f.Txns), record)
-	}
+	return 2
 }
 
-func checkReplay(path string) {
-	if path == "" {
-		fail(fmt.Errorf("replay mode needs -history <file>"))
-	}
-	in, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer in.Close()
-	f, err := history.Load(in)
-	if err != nil {
-		fail(err)
-	}
-	rep, err := history.Replay(f)
-	if err != nil {
-		fail(err)
-	}
-	if err := rep.Err(); err != nil {
-		for _, v := range rep.Violations {
-			fmt.Fprintln(os.Stderr, "  ", v)
+// parse runs a subcommand's flag set over its args; a parse failure has
+// been reported by the flag package and becomes exit status 2.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
-		fail(err)
+		return errUsage
 	}
-	fmt.Printf("replayed %d transactions from %s: all certified serializable\n", rep.Certified, path)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "pushpull-check %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return errUsage
+	}
+	return nil
 }

@@ -5,10 +5,11 @@
 // report throughput and client-perceived latency quantiles.
 //
 //	pushpull-load -addr 127.0.0.1:7070 -clients 8 -duration 30s
-//	pushpull-load -addr 127.0.0.1:7070 -clients 8 -skew 1.2 -json > BENCH_load.json
+//	pushpull-load -addr 127.0.0.1:7070 -clients 8 -skew 1.2 -json
 //
-// -json emits the shared BENCH_*.json summary schema (PerfJSON, as in
-// pushpull-bench -json), so downstream tooling reads both alike.
+// -json emits the summary in the row schema pushpull-bench -json uses
+// (abort_ratio = aborts/(aborts+commits), perf.txn_per_sec, ...), so
+// downstream tooling reads both alike.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	shards := flag.Int("shards", 0, "server shard count (shapes key choice; 0 = unshaped)")
 	cross := flag.Int("cross", 10, "percentage of cross-shard transactions (with -shards > 1)")
-	jsonOut := flag.Bool("json", false, "emit the BENCH JSON summary instead of text")
+	jsonOut := flag.Bool("json", false, "emit the JSON summary instead of text")
 	flag.Parse()
 
 	mix, err := kvapi.ParseOpMix(*opMix)
@@ -61,29 +62,7 @@ func main() {
 		fmt.Println(res.String())
 		return
 	}
-	sum := bench.LoadSummaryJSON{
-		Addr: res.Params.Addr, Clients: res.Params.Clients,
-		Keys: res.Params.Keys, ReadPct: res.Params.ReadPct,
-		OpsPerTxn: res.Params.OpsPerTxn, OpMix: *opMix, Skew: res.Params.Skew,
-		Interactive: res.Params.Interactive, Seed: res.Params.Seed,
-		Shards: res.Params.Shards, CrossPct: res.Params.CrossPct,
-		ReadOnlyPct: res.Params.ReadOnlyPct,
-		DurationMs:  float64(res.Elapsed.Milliseconds()),
-		Commits:     res.Commits, Aborts: res.Aborts, Busy: res.Busy,
-		Errors: res.Errors, Retries: res.Retries,
-		CommuteHits: res.CommuteHits,
-		ROCommits:   res.ROCommits, ROAborts: res.ROAborts,
-		Perf: bench.PerfJSON{
-			TxnPerSec: res.Throughput(),
-			P50Ms:     float64(res.P50) / float64(time.Millisecond),
-			P95Ms:     float64(res.P95) / float64(time.Millisecond),
-			P99Ms:     float64(res.P99) / float64(time.Millisecond),
-		},
-	}
-	if res.Commits > 0 {
-		sum.AbortRatio = float64(res.Aborts) / float64(res.Commits)
-	}
-	out, err := bench.EncodeLoadSummary(sum)
+	out, err := bench.LoadSummaryJSON(res, *opMix)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pushpull-load:", err)
 		os.Exit(1)

@@ -37,33 +37,30 @@ func Registry() *spec.Registry {
 
 // ModelParams configures a model-level strategy run.
 type ModelParams struct {
-	Strategy  string // optimistic | partialabort | boosting | matveev | dependent | irrevocable-mix
-	Threads   int
-	TxnsEach  int
-	Keys      int // key range; fewer keys = more contention
-	ReadPct   int // percentage of read-only transactions
-	Seed      int64
-	OpsPerTxn int // operations per transaction (default 3)
+	Strategy  string `json:"strategy"` // optimistic | partialabort | boosting | matveev | dependent | irrevocable-mix
+	Threads   int    `json:"threads"`
+	TxnsEach  int    `json:"txns_each"`
+	Keys      int    `json:"keys"`     // key range; fewer keys = more contention
+	ReadPct   int    `json:"read_pct"` // percentage of read-only transactions
+	Seed      int64  `json:"seed"`
+	OpsPerTxn int    `json:"-"` // operations per transaction (default 3)
 }
 
 // ModelResult reports a model-level run.
 type ModelResult struct {
-	Params       ModelParams
-	Commits      int
-	Aborts       int
-	GaveUp       int
-	Cascades     int
-	Serializable bool
-	Opaque       bool
-	Duration     time.Duration
+	Params       ModelParams   `json:"-"` // flattened into the row by MarshalJSON
+	Commits      int           `json:"commits"`
+	Aborts       int           `json:"aborts"`
+	GaveUp       int           `json:"gave_up"`
+	Cascades     int           `json:"cascades"`
+	Serializable bool          `json:"serializable"`
+	Opaque       bool          `json:"opaque"`
+	Duration     time.Duration `json:"-"` // encoded as duration_ms
 }
 
-// AbortRatio is aborts per commit.
+// AbortRatio is the fraction of attempts that aborted.
 func (r ModelResult) AbortRatio() float64 {
-	if r.Commits == 0 {
-		return 0
-	}
-	return float64(r.Aborts) / float64(r.Commits)
+	return AbortRatio(uint64(r.Aborts), uint64(r.Commits))
 }
 
 // genTxn generates one random transaction over the key range.
@@ -214,17 +211,16 @@ func Table(header Row, rows []Row) string {
 }
 
 // SweepModel runs every strategy across the given contention levels
-// (key ranges) and renders the comparison table — experiment E4/E5/E7's
-// model-level shape data.
-func SweepModel(threads, txnsEach int, keyRanges []int, readPct int, seed int64) (string, []ModelResult, error) {
+// (key ranges; p.Strategy and p.Keys are overridden per cell) and
+// renders the comparison table — experiment E4/E5/E7's model-level
+// shape data.
+func SweepModel(p ModelParams, keyRanges []int) (string, []ModelResult, error) {
 	var rows []Row
 	var results []ModelResult
 	for _, keys := range keyRanges {
 		for _, s := range StrategyNames() {
-			res, err := RunModel(ModelParams{
-				Strategy: s, Threads: threads, TxnsEach: txnsEach,
-				Keys: keys, ReadPct: readPct, Seed: seed,
-			})
+			p.Strategy, p.Keys = s, keys
+			res, err := RunModel(p)
 			if err != nil {
 				return "", nil, fmt.Errorf("%s/keys=%d: %w", s, keys, err)
 			}
@@ -232,7 +228,7 @@ func SweepModel(threads, txnsEach int, keyRanges []int, readPct int, seed int64)
 			rows = append(rows, Row{
 				s, fmt.Sprintf("%d", keys),
 				fmt.Sprintf("%d", res.Commits), fmt.Sprintf("%d", res.Aborts),
-				fmt.Sprintf("%.2f", res.AbortRatio()),
+				fmt.Sprintf("%.2f", abortsPerCommit(uint64(res.Aborts), uint64(res.Commits))),
 				fmt.Sprintf("%v", res.Serializable), fmt.Sprintf("%v", res.Opaque),
 				res.Duration.Round(time.Millisecond).String(),
 			})

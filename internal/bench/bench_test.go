@@ -25,7 +25,7 @@ func TestRunModelAllStrategies(t *testing.T) {
 }
 
 func TestSweepModelShapes(t *testing.T) {
-	table, results, err := bench.SweepModel(3, 4, []int{2, 16}, 20, 7)
+	table, results, err := bench.SweepModel(bench.ModelParams{Threads: 3, TxnsEach: 4, ReadPct: 20, Seed: 7}, []int{2, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

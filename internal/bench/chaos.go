@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pushpull/internal/adt"
 	"pushpull/internal/chaos"
 	"pushpull/internal/core"
 	"pushpull/internal/lang"
@@ -16,11 +15,8 @@ import (
 	"pushpull/internal/serial"
 	"pushpull/internal/spec"
 	"pushpull/internal/stm/boost"
-	"pushpull/internal/stm/dep"
 	"pushpull/internal/stm/htmsim"
 	"pushpull/internal/stm/hybrid"
-	"pushpull/internal/stm/pess"
-	"pushpull/internal/stm/tl2"
 	"pushpull/internal/strategy"
 	"pushpull/internal/trace"
 	"pushpull/internal/wal"
@@ -129,71 +125,49 @@ func ChaosPlanFor(target string, seed int64, rate float64) chaos.Plan {
 	return p
 }
 
-// ChaosOutcome is one certified chaos run.
-type ChaosOutcome struct {
-	Target string
-	Seed   int64
-	Plan   string
-	Faults chaos.Stats
-	// Commits/Aborts from the target's own counters; GaveUp counts
-	// controlled retry-budget exhaustions (not failures).
-	Commits uint64
-	Aborts  uint64
-	GaveUp  uint64
-	// Degraded (hybrid): commits that ran HTM sections under the
-	// fallback lock after graceful degradation.
-	Degraded uint64
-	// Kills/Stalls (model): scheduler-level injections.
-	Kills  int
-	Stalls int
-	// Halted (model): the scheduler detected livelock or deadlock and
-	// halted the run — a controlled outcome, certified like any other.
-	Halted bool
-	// Err is a certification, invariant, serializability, or leak
-	// violation — nil means the run recovered from every fault cleanly.
-	Err error
-}
-
 // RunChaosOne runs one certified chaos run. Every path asserts full
 // recovery: substrate runs certify each commit on the shadow machine
 // and pass FinalCheck; the model run passes machine invariants, the
 // commit-order serializability check, and the Env leak check.
-func RunChaosOne(target string, seed int64, p ChaosParams) ChaosOutcome {
+func RunChaosOne(target string, seed int64, p ChaosParams) Outcome {
 	p = p.WithDefaults()
-	plan := ChaosPlanFor(target, seed, p.Rate)
-	inj := plan.Injector()
-	out := ChaosOutcome{Target: target, Seed: seed, Plan: plan.String()}
-
+	out := Outcome{Target: target, Seed: seed}
 	switch target {
-	case "tl2", "pess", "htmsim", "dep":
-		out.Err = runChaosWords(target, seed, p, inj, &out)
-	case "boost":
-		out.Err = runChaosBoost(seed, p, inj, &out)
-	case "hybrid":
-		out.Err = runChaosHybrid(seed, p, inj, &out)
-	case "model":
-		out.Err = runChaosModel(seed, p, inj, &out)
-	case "shard":
+	case "shard", "shardseq":
 		// The sharded engine derives per-shard injectors and its own
 		// coordinator injector from the plan; it fills out.Plan and
-		// out.Faults itself.
-		out.Err = runChaosShard(seed, p, &out, false)
-		return out
-	case "shardseq":
-		// Same sweep, same murder window, but cross-shard commits run
-		// through the deterministic sequencer's batch path.
-		out.Err = runChaosShard(seed, p, &out, true)
-		return out
+		// out.Faults itself. Same sweep, same murder window on both: the
+		// only difference is which cross-shard commit path runs.
+		out.Err = runChaosShard(seed, p, &out, target == "shardseq")
 	case "failover":
 		// Replicated primary death and certified promotion; derives its
 		// own plan (crash + link faults) and fills out.Plan itself.
-		out.Err = runChaosFailover(seed, p, &out)
-		return out
+		out.Err = runFailover(seed, p, &out)
 	default:
-		out.Err = fmt.Errorf("bench: unknown chaos target %q", target)
+		plan := ChaosPlanFor(target, seed, p.Rate)
+		out.Plan = plan.String()
+		out.Err = runTarget(target, seed, p, plan.Injector(), &out)
+	}
+	return out
+}
+
+// runTarget drives one single-machine target (a substrate, the hybrid
+// runtime or the cooperative model) under the injector — the live run
+// shared by the chaos and crash sweeps.
+func runTarget(target string, seed int64, p ChaosParams, inj *chaos.Faults, out *Outcome) error {
+	var err error
+	switch target {
+	case "tl2", "pess", "htmsim", "dep", "boost":
+		err = runChaosRMW(target, seed, p, inj, out)
+	case "hybrid":
+		err = runChaosHybrid(seed, p, inj, out)
+	case "model":
+		err = runChaosModel(seed, p, inj, out)
+	default:
+		return fmt.Errorf("bench: unknown target %q", target)
 	}
 	out.Faults = inj.Stats()
-	return out
+	return err
 }
 
 // spawnWorkers runs the transaction closure across p.Threads
@@ -253,12 +227,6 @@ func walErr(hook *wal.MachineHook) error {
 	return hook.Err()
 }
 
-func registerReg() (*spec.Registry, *trace.Recorder) {
-	reg := spec.NewRegistry()
-	reg.Register("mem", adt.Register{})
-	return reg, trace.NewRecorder(reg)
-}
-
 // wireObs attaches the observability suite to one run's seams: the
 // certifying recorder (site-labelled rule stream), the fault injector
 // (injections by site), and the retry policy (depth/exhaustion). Nil
@@ -288,88 +256,23 @@ func schedObserver(p ChaosParams) sched.Observer {
 	return p.Obs.Metrics
 }
 
-// runChaosWords drives the word substrates (tl2/pess/htmsim/dep) with
-// the shared read-modify-write workload under injection, certified.
-func runChaosWords(target string, seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutcome) error {
-	_, rec := registerReg()
+// runChaosRMW drives a goroutine substrate (tl2/pess/htmsim/dep/boost)
+// with the shared read-modify-write workload under injection,
+// certified.
+func runChaosRMW(target string, seed int64, p ChaosParams, inj *chaos.Faults, out *Outcome) error {
+	rec := trace.NewRecorder(CertRegistryFor(target))
 	hook := attachWAL(rec, p)
 	retry := chaos.Default(seed)
 	wireObs(p, rec, target, inj, retry)
-	var gaveUp atomic.Uint64
-
-	var atomicRMW func(addr int, readOnly bool, yield int) error
-	var stats func() (commits, aborts uint64)
-
-	switch target {
-	case "tl2":
-		m := tl2.New(p.Keys)
-		m.Recorder, m.Injector, m.Retry = rec, inj, retry
-		m.Durable = durableOf(p)
-		atomicRMW = func(addr int, readOnly bool, yield int) error {
-			return m.AtomicNamed("t", func(tx *tl2.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || readOnly {
-					return err
-				}
-				yieldN(yield)
-				return tx.Write(addr, v+1)
-			})
-		}
-		stats = func() (uint64, uint64) { s := m.Stats(); return s.Commits, s.Aborts }
-	case "pess":
-		m := pess.New(p.Keys)
-		m.Recorder, m.Injector, m.Retry = rec, inj, retry
-		m.Durable = durableOf(p)
-		atomicRMW = func(addr int, readOnly bool, yield int) error {
-			return m.AtomicNamed("t", func(tx *pess.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || readOnly {
-					return err
-				}
-				yieldN(yield)
-				return tx.Write(addr, v+1)
-			})
-		}
-		stats = func() (uint64, uint64) { s := m.Stats(); return s.Commits, s.Aborts }
-	case "htmsim":
-		h := htmsim.New(p.Keys)
-		h.Recorder, h.Injector, h.Retry = rec, inj, retry
-		h.Durable = durableOf(p)
-		atomicRMW = func(addr int, readOnly bool, yield int) error {
-			return h.Atomic("t", func(tx *htmsim.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || readOnly {
-					return err
-				}
-				yieldN(yield)
-				return tx.Write(addr, v+1)
-			})
-		}
-		stats = func() (uint64, uint64) {
-			s := h.Stats()
-			return s.Commits, s.ConflictAborts + s.CapacityAborts
-		}
-	case "dep":
-		m := dep.New(p.Keys)
-		m.Recorder, m.Injector, m.Retry = rec, inj, retry
-		m.Durable = durableOf(p)
-		atomicRMW = func(addr int, readOnly bool, yield int) error {
-			return m.Atomic("t", func(tx *dep.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || readOnly {
-					return err
-				}
-				yieldN(yield)
-				return tx.Write(addr, v+1)
-			})
-		}
-		stats = func() (uint64, uint64) { s := m.Stats(); return s.Commits, s.Aborts }
+	txn, stats, err := rmwSubstrate(target, p.Keys, seed, seams{rec, inj, retry, durableOf(p)})
+	if err != nil {
+		return err
 	}
-
-	err := spawnWorkers(p, &gaveUp, func(g, i int, rng *rand.Rand) error {
-		return atomicRMW(rng.Intn(p.Keys), rng.Intn(100) < 30, 2)
+	var gaveUp atomic.Uint64
+	err = spawnWorkers(p, &gaveUp, func(g, i int, rng *rand.Rand) error {
+		return txn(rng.Intn(p.Keys), rng.Intn(100) < 30, 2)
 	})
-	out.Commits, out.Aborts = stats()
+	out.Commits, out.Aborts, _ = stats()
 	out.GaveUp = gaveUp.Load()
 	if err != nil {
 		return err
@@ -380,57 +283,12 @@ func runChaosWords(target string, seed int64, p ChaosParams, inj *chaos.Faults, 
 	return rec.FinalCheck()
 }
 
-// runChaosBoost drives the boosting substrate under lock-timeout
-// injection, certified.
-func runChaosBoost(seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutcome) error {
-	reg := spec.NewRegistry()
-	reg.Register("ht", adt.Map{})
-	rt := boost.NewRuntime()
-	rt.Recorder = trace.NewRecorder(reg)
-	hook := attachWAL(rt.Recorder, p)
-	rt.Injector, rt.Retry = inj, chaos.Default(seed)
-	wireObs(p, rt.Recorder, "boost", inj, rt.Retry)
-	rt.Durable = durableOf(p)
-	ht := boost.NewMap(rt, "ht", seed)
-	var gaveUp atomic.Uint64
-
-	err := spawnWorkers(p, &gaveUp, func(g, i int, rng *rand.Rand) error {
-		key := int64(rng.Intn(p.Keys))
-		readOnly := rng.Intn(100) < 30
-		return rt.Atomic("b", func(tx *boost.Txn) error {
-			v, present, err := tx2val(ht.Get(tx, key))
-			if err != nil || readOnly {
-				return err
-			}
-			if !present {
-				v = 0
-			}
-			yieldN(2)
-			_, _, err = ht.Put(tx, key, v+1)
-			return err
-		})
-	})
-	s := rt.Stats()
-	out.Commits, out.Aborts, out.GaveUp = s.Commits, s.Aborts, gaveUp.Load()
-	if err != nil {
-		return err
-	}
-	if err := walErr(hook); err != nil {
-		return err
-	}
-	return rt.Recorder.FinalCheck()
-}
-
 // runChaosHybrid drives the Section 7 hybrid under capacity/conflict
 // injection: the run must stay certified across graceful degradation to
 // boosting-plus-lock.
-func runChaosHybrid(seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutcome) error {
-	reg := spec.NewRegistry()
-	reg.Register("skiplist", adt.Set{})
-	reg.Register("hashT", adt.Map{})
-	reg.Register("htm", adt.Register{})
+func runChaosHybrid(seed int64, p ChaosParams, inj *chaos.Faults, out *Outcome) error {
 	b := boost.NewRuntime()
-	b.Recorder = trace.NewRecorder(reg)
+	b.Recorder = trace.NewRecorder(CertRegistryFor("hybrid"))
 	hook := attachWAL(b.Recorder, p)
 	b.Injector, b.Retry = inj, chaos.Default(seed)
 	wireObs(p, b.Recorder, "hybrid", inj, b.Retry)
@@ -503,7 +361,7 @@ func runChaosHybrid(seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutc
 // machine under the chaos scheduler (stalls + forced thread death),
 // then checks machine invariants, serializability, and lock/token
 // leaks.
-func runChaosModel(seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutcome) error {
+func runChaosModel(seed int64, p ChaosParams, inj *chaos.Faults, out *Outcome) error {
 	reg := Registry()
 	m := core.NewMachine(reg, core.Options{Mode: spec.MoverHybrid, EnforceGray: true})
 	var hook *wal.MachineHook
@@ -569,90 +427,4 @@ func runChaosModel(seed int64, p ChaosParams, inj *chaos.Faults, out *ChaosOutco
 		return err
 	}
 	return nil
-}
-
-// ChaosCampaign sweeps Seeds plan seeds over every target, certifying
-// each run, and renders the fault/recovery report. The returned error
-// is non-nil if ANY run had a violation; the report always includes the
-// failing plans (the reproduction recipes).
-func ChaosCampaign(p ChaosParams) (string, []ChaosOutcome, error) {
-	p = p.WithDefaults()
-	var outcomes []ChaosOutcome
-	type agg struct {
-		runs, failed            int
-		injected                uint64
-		commits, aborts, gaveUp uint64
-		degraded                uint64
-		kills, stalls, halted   int
-		firstFail               string
-	}
-	aggs := make(map[string]*agg)
-	var firstErr error
-
-	for _, target := range p.Targets {
-		a := &agg{}
-		aggs[target] = a
-		for s := 0; s < p.Seeds; s++ {
-			o := RunChaosOne(target, p.BaseSeed+int64(s), p)
-			outcomes = append(outcomes, o)
-			a.runs++
-			a.injected += o.Faults.TotalInjected()
-			a.commits += o.Commits
-			a.aborts += o.Aborts
-			a.gaveUp += o.GaveUp
-			a.degraded += o.Degraded
-			a.kills += o.Kills
-			a.stalls += o.Stalls
-			if o.Halted {
-				a.halted++
-			}
-			if o.Err != nil {
-				a.failed++
-				if a.firstFail == "" {
-					a.firstFail = fmt.Sprintf("%s: %v", o.Plan, o.Err)
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("chaos: %s seed %d: %w (replay: %s)", target, o.Seed, o.Err, o.Plan)
-				}
-			}
-		}
-	}
-
-	var rows []Row
-	for _, target := range p.Targets {
-		a := aggs[target]
-		notes := ""
-		if a.degraded > 0 {
-			notes = fmt.Sprintf("degraded=%d", a.degraded)
-		}
-		if a.kills > 0 || a.stalls > 0 {
-			if notes != "" {
-				notes += " "
-			}
-			notes += fmt.Sprintf("kills=%d stalls=%d", a.kills, a.stalls)
-		}
-		if a.halted > 0 {
-			if notes != "" {
-				notes += " "
-			}
-			notes += fmt.Sprintf("halted=%d", a.halted)
-		}
-		abortRatio := 0.0
-		if a.commits > 0 {
-			abortRatio = float64(a.aborts) / float64(a.commits)
-		}
-		rows = append(rows, Row{
-			target, fmt.Sprintf("%d", a.runs), fmt.Sprintf("%d", a.injected),
-			fmt.Sprintf("%d", a.commits), fmt.Sprintf("%d", a.aborts),
-			fmt.Sprintf("%.3f", abortRatio), fmt.Sprintf("%d", a.gaveUp),
-			fmt.Sprintf("%d", a.failed), notes,
-		})
-	}
-	report := Table(Row{"target", "seeds", "faults", "commits", "aborts", "aborts/commit", "gaveup", "violations", "notes"}, rows)
-	for _, target := range p.Targets {
-		if f := aggs[target].firstFail; f != "" {
-			report += fmt.Sprintf("\nFAIL %s %s\n", target, f)
-		}
-	}
-	return report, outcomes, firstErr
 }

@@ -7,10 +7,10 @@ import (
 
 // TestChaosSmoke is the CI chaos tier: a small seed sweep over every
 // target with faults enabled, each run certified. The full ≥50-seed
-// campaign runs through cmd/pushpull-chaos.
+// campaign runs through `pushpull-check chaos`.
 func TestChaosSmoke(t *testing.T) {
 	p := ChaosParams{Seeds: 3, BaseSeed: 1, Threads: 3, OpsEach: 12, Keys: 8, Rate: 0.1}
-	report, outcomes, err := ChaosCampaign(p)
+	report, outcomes, err := Sweep(p, RunChaosOne)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, report)
 	}

@@ -10,7 +10,7 @@ import (
 	"pushpull/internal/wal"
 )
 
-// This file is the crash-recovery campaign: every chaos target runs
+// This file is the crash-recovery run: every single-stream target runs
 // with a write-ahead log attached and a deterministic process death
 // scheduled at some WAL append; afterwards the durable image — synced
 // prefix, possibly torn or bit-flipped — is recovered and the
@@ -80,47 +80,36 @@ func CertRegistryFor(target string) *spec.Registry {
 	return reg
 }
 
-// CrashOutcome is one crash-recovery run.
-type CrashOutcome struct {
-	Target string
-	Seed   int64
-	Plan   string
-	Policy wal.SyncPolicy
+// CrashDetail is what a crash-recovery run adds to its Outcome.
+type CrashDetail struct {
+	// Policy is the WAL sync policy the seed selected.
+	Policy string `json:"policy"`
 	// Crashed reports whether the scheduled death actually fired (a
 	// short run may finish before reaching the append index).
-	Crashed bool
-	// Commits is the live run's commit count (upper bound on what
-	// recovery may reconstruct).
-	Commits uint64
+	Crashed bool `json:"crashed"`
 	// Recovered is the number of committed transactions in the
-	// recovered prefix; Discarded the pushed-but-uncommitted
-	// transactions dropped; Truncated whether a torn/corrupt tail was
-	// cut.
-	Recovered int
-	Discarded int
-	Truncated bool
+	// recovered prefix (Outcome.Commits, the live run's count, bounds
+	// it); Discarded the pushed-but-uncommitted transactions dropped;
+	// Truncated whether a torn/corrupt tail was cut.
+	Recovered int  `json:"recovered"`
+	Discarded int  `json:"discarded"`
+	Truncated bool `json:"truncated"`
+	// Segments is the durable WAL image the run left behind — what
+	// recovery replayed (and what idempotence tests replay again);
+	// DurableBytes is its size.
+	Segments     [][]byte `json:"-"`
+	DurableBytes int      `json:"durable_bytes"`
 	// RunErr is a live-run violation (the crash itself must be
 	// transparent to the running substrate). CertErr is a recovery
-	// certification failure. Either fails the run.
-	RunErr  error
-	CertErr error
-	// Segments is the durable WAL image the run left behind — what
-	// recovery replayed (and what idempotence tests replay again).
-	Segments [][]byte
-}
-
-// Err returns the run's overall verdict.
-func (o CrashOutcome) Err() error {
-	if o.RunErr != nil {
-		return fmt.Errorf("live run: %w", o.RunErr)
-	}
-	return o.CertErr
+	// certification failure. Either fails the run (Outcome.Err).
+	RunErr  string `json:"run_err,omitempty"`
+	CertErr string `json:"cert_err,omitempty"`
 }
 
 // RunCrashOne executes one crash-recovery run: live chaos run with a
 // durable WAL and a scheduled process death, then recovery and
 // re-certification of the durable image.
-func RunCrashOne(target string, seed int64, p ChaosParams) CrashOutcome {
+func RunCrashOne(target string, seed int64, p ChaosParams) Outcome {
 	p = p.WithDefaults()
 	plan := CrashPlanFor(target, seed, p)
 	inj := plan.Injector()
@@ -132,99 +121,26 @@ func RunCrashOne(target string, seed int64, p ChaosParams) CrashOutcome {
 	log := wal.MustOpen(opts)
 	p.WAL = log
 
-	out := CrashOutcome{Target: target, Seed: seed, Plan: plan.String(), Policy: pol}
-	live := ChaosOutcome{Target: target, Seed: seed}
-	switch target {
-	case "tl2", "pess", "htmsim", "dep":
-		live.Err = runChaosWords(target, seed, p, inj, &live)
-	case "boost":
-		live.Err = runChaosBoost(seed, p, inj, &live)
-	case "hybrid":
-		live.Err = runChaosHybrid(seed, p, inj, &live)
-	case "model":
-		live.Err = runChaosModel(seed, p, inj, &live)
-	default:
-		live.Err = fmt.Errorf("bench: unknown crash target %q", target)
+	d := &CrashDetail{Policy: pol.String()}
+	out := Outcome{Target: target, Seed: seed, Plan: plan.String(), CrashDetail: d}
+	runErr := runTarget(target, seed, p, inj, &out)
+	d.Crashed = log.Crashed()
+	d.Segments = log.Segments()
+	for _, seg := range d.Segments {
+		d.DurableBytes += len(seg)
 	}
-	out.RunErr = live.Err
-	out.Commits = live.Commits
-	out.Crashed = log.Crashed()
-	out.Segments = log.Segments()
 
-	rep, err := recovery.RecoverAndCertify(out.Segments, CertRegistryFor(target))
-	out.Recovered = len(rep.State.Txns)
-	out.Discarded = rep.Discarded
-	out.Truncated = rep.Truncated != nil
-	out.CertErr = err
-	if out.CertErr == nil && uint64(out.Recovered) > out.Commits {
-		out.CertErr = fmt.Errorf("recovered %d txns from a run with %d commits", out.Recovered, out.Commits)
+	rep, certErr := recovery.RecoverAndCertify(d.Segments, CertRegistryFor(target))
+	d.Recovered = len(rep.State.Txns)
+	d.Discarded = rep.Discarded
+	d.Truncated = rep.Truncated != nil
+	if certErr == nil && uint64(d.Recovered) > out.Commits {
+		certErr = fmt.Errorf("recovered %d txns from a run with %d commits", d.Recovered, out.Commits)
+	}
+	d.RunErr, d.CertErr = errText(runErr), errText(certErr)
+	out.Err = certErr
+	if runErr != nil {
+		out.Err = fmt.Errorf("live run: %w", runErr)
 	}
 	return out
-}
-
-// CrashCampaign sweeps Seeds crash plans over every target and renders
-// the recovery report. The returned error is non-nil if ANY run failed
-// — live-run violation or recovery certification failure — and the
-// report names the failing plans (the reproduction recipes).
-func CrashCampaign(p ChaosParams) (string, []CrashOutcome, error) {
-	if p.Targets == nil {
-		p.Targets = CrashTargets()
-	}
-	p = p.WithDefaults()
-	var outcomes []CrashOutcome
-	type agg struct {
-		runs, crashed, truncated, failed int
-		commits                          uint64
-		recovered, discarded             int
-		firstFail                        string
-	}
-	aggs := make(map[string]*agg)
-	var firstErr error
-
-	for _, target := range p.Targets {
-		a := &agg{}
-		aggs[target] = a
-		for s := 0; s < p.Seeds; s++ {
-			o := RunCrashOne(target, p.BaseSeed+int64(s), p)
-			outcomes = append(outcomes, o)
-			a.runs++
-			a.commits += o.Commits
-			a.recovered += o.Recovered
-			a.discarded += o.Discarded
-			if o.Crashed {
-				a.crashed++
-			}
-			if o.Truncated {
-				a.truncated++
-			}
-			if err := o.Err(); err != nil {
-				a.failed++
-				if a.firstFail == "" {
-					a.firstFail = fmt.Sprintf("%s policy=%v: %v", o.Plan, o.Policy, err)
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("crash: %s seed %d: %w (replay: %s policy=%v)",
-						target, o.Seed, err, o.Plan, o.Policy)
-				}
-			}
-		}
-	}
-
-	var rows []Row
-	for _, target := range p.Targets {
-		a := aggs[target]
-		rows = append(rows, Row{
-			target, fmt.Sprintf("%d", a.runs), fmt.Sprintf("%d", a.crashed),
-			fmt.Sprintf("%d", a.commits), fmt.Sprintf("%d", a.recovered),
-			fmt.Sprintf("%d", a.discarded), fmt.Sprintf("%d", a.truncated),
-			fmt.Sprintf("%d", a.failed),
-		})
-	}
-	report := Table(Row{"target", "seeds", "crashed", "commits", "recovered", "discarded", "truncated", "failures"}, rows)
-	for _, target := range p.Targets {
-		if f := aggs[target].firstFail; f != "" {
-			report += fmt.Sprintf("\nFAIL %s %s\n", target, f)
-		}
-	}
-	return report, outcomes, firstErr
 }

@@ -9,10 +9,10 @@ import (
 // TestCrashSmoke is the tier-1 crash-recovery gate: a small seed sweep
 // over every target, each run crashing the WAL mid-flight and
 // certifying the recovered prefix. The full 50-seed campaign runs via
-// `make crash-smoke` / cmd/pushpull-crash.
+// `make crash` / `pushpull-check crash`.
 func TestCrashSmoke(t *testing.T) {
-	p := ChaosParams{Seeds: 4, Threads: 4, OpsEach: 12}
-	report, outcomes, err := CrashCampaign(p)
+	p := ChaosParams{Targets: CrashTargets(), Seeds: 4, Threads: 4, OpsEach: 12}
+	report, outcomes, err := Sweep(p, RunCrashOne)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, report)
 	}
@@ -57,8 +57,8 @@ func TestCrashRunReproducible(t *testing.T) {
 	p := ChaosParams{Threads: 2, OpsEach: 8}
 	a := RunCrashOne("model", 5, p)
 	b := RunCrashOne("model", 5, p)
-	if a.Err() != nil || b.Err() != nil {
-		t.Fatalf("model: %v / %v", a.Err(), b.Err())
+	if a.Err != nil || b.Err != nil {
+		t.Fatalf("model: %v / %v", a.Err, b.Err)
 	}
 	if a.Crashed != b.Crashed || a.Recovered != b.Recovered || a.Discarded != b.Discarded {
 		t.Fatalf("model: outcomes diverge: %+v vs %+v", a, b)

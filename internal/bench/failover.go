@@ -70,46 +70,39 @@ func linkRates(seed int64, visit uint64) (drop, dup, reorder float64) {
 		0.25 * chaos.Hash01(seed, SiteReplReorder, visit)
 }
 
-// FailoverOutcome is one certified failover run.
-type FailoverOutcome struct {
-	Seed int64
-	Plan string
+// FailoverDetail is what a failover run adds to its Outcome.
+type FailoverDetail struct {
 	// CrashFired reports whether the plan's WAL crash killed the
 	// primary mid-run (otherwise the run deposes it by lease expiry —
 	// the failover machinery is exercised either way).
-	CrashFired bool
-	Commits    uint64
-	Aborts     uint64
-	GaveUp     uint64
+	CrashFired bool `json:"crash_fired"`
 	// Acked is the number of distinct keys with a client-acknowledged
 	// write — the zero-loss ledger.
-	Acked int
+	Acked int `json:"acked_keys"`
 	// Partitions counts seeded partition windows installed on the
 	// replication links; AckWithheld counts commits whose ack the
 	// primary refused because a link lagged or its lease expired —
 	// every one becomes an ambiguous outcome the session client
 	// retries.
-	Partitions  int
-	AckWithheld uint64
+	Partitions  int    `json:"partitions"`
+	AckWithheld uint64 `json:"ack_withheld"`
 	// ZombieRefused counts post-expiry writes the deposed primary
 	// refused by itself; Retried and DedupHits describe the ambiguous
 	// requests settled against the successor (a dedup hit answers from
 	// the replicated table without re-executing).
-	ZombieRefused uint64
-	Retried       int
-	DedupHits     int
+	ZombieRefused uint64 `json:"zombie_refused"`
+	Retried       int    `json:"retried"`
+	DedupHits     int    `json:"dedup_hits"`
 	// LeaseEpoch is the successor's lease epoch (always 2: one
 	// predecessor, one promotion).
-	LeaseEpoch uint64
+	LeaseEpoch uint64 `json:"lease_epoch"`
 	// PromotedTxns is the promoted certificate's recovered transaction
 	// count; InDoubt must be zero.
-	PromotedTxns int
-	InDoubt      int
+	PromotedTxns int `json:"promoted_txns"`
+	InDoubt      int `json:"in_doubt"`
 	// HistoryTxns counts transactions replayed through the offline
 	// history certifier on the promoted engine.
-	HistoryTxns int
-	Faults      chaos.Stats
-	Err         error
+	HistoryTxns int `json:"history_txns"`
 }
 
 // sessionClient is one exactly-once client in the sweep: it owns keys
@@ -122,17 +115,11 @@ type sessionClient struct {
 	ops     []shard.Op // the held (unsettled) request
 }
 
-// RunFailoverOne runs one certified failover: load a shipping primary
-// under chaos until it dies (or is deposed), promote the most advanced
-// replica, and assert the full self-healing contract.
-func RunFailoverOne(seed int64, p ChaosParams) FailoverOutcome {
-	p = p.WithDefaults()
-	out := FailoverOutcome{Seed: seed}
-	out.Err = runFailoverCore(seed, p, &out)
-	return out
-}
-
-func runFailoverCore(seed int64, p ChaosParams, out *FailoverOutcome) error {
+// runFailover is the "failover" target (see RunChaosOne): load a
+// shipping primary under chaos until it dies (or is deposed), promote
+// the most advanced replica, and assert the full self-healing contract.
+func runFailover(seed int64, p ChaosParams, out *Outcome) error {
+	out.FailoverDetail = &FailoverDetail{}
 	keys := p.Keys * failoverShards
 	cfg := repl.Config{Substrate: "tl2", Shards: failoverShards, Keys: keys}
 	repA := repl.NewReplica(cfg)
@@ -424,59 +411,4 @@ func appliedTotal(r *repl.Replica) uint64 {
 		n += r.AppliedRecords(s)
 	}
 	return n
-}
-
-// runChaosFailover adapts a failover run to the chaos-campaign shape.
-func runChaosFailover(seed int64, p ChaosParams, out *ChaosOutcome) error {
-	fo := RunFailoverOne(seed, p)
-	out.Plan = fo.Plan
-	out.Commits, out.Aborts = fo.Commits, fo.Aborts
-	out.GaveUp = fo.GaveUp
-	out.Faults = fo.Faults
-	return fo.Err
-}
-
-// FailoverCampaign sweeps seeds over the failover target and returns
-// the human-readable summary plus per-run outcomes; err is the first
-// contract violation (nil means every promotion certified, no
-// acknowledged write was lost, every ambiguous retry settled exactly
-// once, and no deposed primary acked past its lease).
-func FailoverCampaign(p ChaosParams) (string, []FailoverOutcome, error) {
-	p = p.WithDefaults()
-	var outcomes []FailoverOutcome
-	var firstErr error
-	var rows []Row
-	crashed, failed, partitions, retried, dedup := 0, 0, 0, 0, 0
-	var commits, acked, zombies uint64
-	for s := 0; s < p.Seeds; s++ {
-		o := RunFailoverOne(p.BaseSeed+int64(s), p)
-		outcomes = append(outcomes, o)
-		commits += o.Commits
-		acked += uint64(o.Acked)
-		partitions += o.Partitions
-		retried += o.Retried
-		dedup += o.DedupHits
-		zombies += o.ZombieRefused
-		if o.CrashFired {
-			crashed++
-		}
-		if o.Err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("failover: seed %d: %w (replay: %s)", o.Seed, o.Err, o.Plan)
-			}
-		}
-	}
-	rows = append(rows, Row{
-		"failover", fmt.Sprintf("%d", p.Seeds), fmt.Sprintf("%d", crashed),
-		fmt.Sprintf("%d", partitions), fmt.Sprintf("%d", commits),
-		fmt.Sprintf("%d", acked), fmt.Sprintf("%d/%d", dedup, retried),
-		fmt.Sprintf("%d", zombies), fmt.Sprintf("%d", failed),
-	})
-	report := Table(Row{"target", "seeds", "crashes", "partitions", "commits",
-		"acked keys", "dedup/retried", "zombie refusals", "violations"}, rows)
-	if firstErr != nil {
-		report += "\nFIRST FAILURE: " + firstErr.Error() + "\n"
-	}
-	return report, outcomes, firstErr
 }

@@ -1,17 +1,17 @@
 package bench
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestFailoverSmoke is the tier-1 failover sweep: a handful of seeds
 // through the full kill → certify → promote → restart contract.
 func TestFailoverSmoke(t *testing.T) {
-	report, outs, err := FailoverCampaign(ChaosParams{
+	report, outs, err := Sweep(ChaosParams{
 		Targets: []string{"failover"}, Seeds: 6,
-	})
+	}, RunChaosOne)
 	t.Log("\n" + report)
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +35,11 @@ func TestFailoverSmoke(t *testing.T) {
 
 // TestFailoverJSON keeps the machine-readable sweep schema honest.
 func TestFailoverJSON(t *testing.T) {
-	o := RunFailoverOne(3, ChaosParams{Seeds: 1})
+	o := RunChaosOne("failover", 3, ChaosParams{Seeds: 1})
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
-	b, err := FailoverOutcomesJSON([]FailoverOutcome{o})
+	b, err := json.MarshalIndent([]Outcome{o}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +47,5 @@ func TestFailoverJSON(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("JSON missing %s:\n%s", want, b)
 		}
-	}
-}
-
-// TestReplBenchSmoke runs a short certified replication bench: the
-// followers must serve reads, observe the write stream, drain to zero
-// lag, and match the primary exactly.
-func TestReplBenchSmoke(t *testing.T) {
-	res, err := RunReplBench(ReplBenchParams{
-		Replicas: 2, Writers: 2, Readers: 2, Duration: 300 * time.Millisecond, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 || res.Reads == 0 {
-		t.Fatalf("bench idle: %+v", res)
-	}
-	if res.Syncs == 0 {
-		t.Fatalf("pull path never synced: %+v", res)
-	}
-	b, err := EncodeReplBench(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"follower_reads"`) || !strings.Contains(string(b), `"max_lag_records"`) {
-		t.Fatalf("bench JSON missing fields:\n%s", b)
 	}
 }

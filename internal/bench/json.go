@@ -1,350 +1,120 @@
 package bench
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"time"
 
-// This file is the machine-readable campaign summary: the -json flag
-// of cmd/pushpull-chaos, cmd/pushpull-crash, cmd/pushpull-bench, and
-// cmd/pushpull-load renders outcomes as one JSON document instead of
-// the text table, with error values flattened to strings (an error is
-// a verdict here, not a resumable value). PerfJSON is the shared
-// performance-summary schema: the bench sweeps and the network load
-// generator emit the same shape, so BENCH_*.json tooling reads both.
+	"pushpull/internal/kvapi"
+)
 
-// ChaosOutcomeJSON mirrors ChaosOutcome with the error stringified.
-type ChaosOutcomeJSON struct {
-	Target   string `json:"target"`
-	Seed     int64  `json:"seed"`
-	Plan     string `json:"plan"`
-	Faults   uint64 `json:"faults_injected"`
-	Commits  uint64 `json:"commits"`
-	Aborts   uint64 `json:"aborts"`
-	GaveUp   uint64 `json:"gave_up"`
-	Degraded uint64 `json:"degraded,omitempty"`
-	Kills    int    `json:"kills,omitempty"`
-	Stalls   int    `json:"stalls,omitempty"`
-	Halted   bool   `json:"halted,omitempty"`
-	Err      string `json:"err,omitempty"`
-}
+// This file is the machine-readable side of the harness: what the
+// -json flag of pushpull-check's sweeps, pushpull-bench and
+// pushpull-load prints. The schema is the json tags on the result
+// types themselves (Outcome, ModelResult, SubstrateResult and their
+// Params); the MarshalJSON methods only add the derived keys —
+// abort_ratio, duration_ms, perf — and flatten Params into the row.
 
-// ChaosOutcomesJSON renders a chaos campaign's outcomes as an indented
-// JSON array.
-func ChaosOutcomesJSON(outcomes []ChaosOutcome) ([]byte, error) {
-	out := make([]ChaosOutcomeJSON, len(outcomes))
-	for i, o := range outcomes {
-		out[i] = ChaosOutcomeJSON{
-			Target: o.Target, Seed: o.Seed, Plan: o.Plan,
-			Faults:  o.Faults.TotalInjected(),
-			Commits: o.Commits, Aborts: o.Aborts, GaveUp: o.GaveUp,
-			Degraded: o.Degraded, Kills: o.Kills, Stalls: o.Stalls,
-			Halted: o.Halted,
-		}
-		if o.Err != nil {
-			out[i].Err = o.Err.Error()
-		}
+// AbortRatio is the fraction of attempts that aborted,
+// aborts/(aborts+commits) in [0,1] — the one meaning of every
+// abort_ratio JSON key, matching benchmark/'s backend.abort_ratio.
+func AbortRatio(aborts, commits uint64) float64 {
+	if aborts == 0 {
+		return 0
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return float64(aborts) / float64(aborts+commits)
 }
 
-// PerfJSON is the shared throughput/latency summary. Latency quantiles
+// abortsPerCommit is the text tables' aborts/commit column: wasted
+// attempts per useful one, unbounded above.
+func abortsPerCommit(aborts, commits uint64) float64 {
+	if commits == 0 {
+		return 0
+	}
+	return float64(aborts) / float64(commits)
+}
+
+// perfJSON is the shared throughput/latency summary. Latency quantiles
 // are zero for the in-process sweeps (no per-transaction client clock)
 // and populated by the network load generator.
-type PerfJSON struct {
+type perfJSON struct {
 	TxnPerSec float64 `json:"txn_per_sec"`
 	P50Ms     float64 `json:"p50_ms,omitempty"`
 	P95Ms     float64 `json:"p95_ms,omitempty"`
 	P99Ms     float64 `json:"p99_ms,omitempty"`
 }
 
-// ModelResultJSON mirrors ModelResult for the -json bench table.
-type ModelResultJSON struct {
-	Strategy     string   `json:"strategy"`
-	Threads      int      `json:"threads"`
-	TxnsEach     int      `json:"txns_each"`
-	Keys         int      `json:"keys"`
-	ReadPct      int      `json:"read_pct"`
-	Seed         int64    `json:"seed"`
-	Commits      int      `json:"commits"`
-	Aborts       int      `json:"aborts"`
-	GaveUp       int      `json:"gave_up"`
-	Cascades     int      `json:"cascades"`
-	AbortRatio   float64  `json:"abort_ratio"`
-	Serializable bool     `json:"serializable"`
-	Opaque       bool     `json:"opaque"`
-	DurationMs   float64  `json:"duration_ms"`
-	Perf         PerfJSON `json:"perf"`
-}
-
-// ModelResultsJSON renders a model sweep as an indented JSON array.
-func ModelResultsJSON(results []ModelResult) ([]byte, error) {
-	out := make([]ModelResultJSON, len(results))
-	for i, r := range results {
-		perf := PerfJSON{}
-		if r.Duration > 0 {
-			perf.TxnPerSec = float64(r.Commits) / r.Duration.Seconds()
-		}
-		out[i] = ModelResultJSON{
-			Strategy: r.Params.Strategy, Threads: r.Params.Threads,
-			TxnsEach: r.Params.TxnsEach, Keys: r.Params.Keys,
-			ReadPct: r.Params.ReadPct, Seed: r.Params.Seed,
-			Commits: r.Commits, Aborts: r.Aborts, GaveUp: r.GaveUp,
-			Cascades: r.Cascades, AbortRatio: r.AbortRatio(),
-			Serializable: r.Serializable, Opaque: r.Opaque,
-			DurationMs: float64(r.Duration.Milliseconds()),
-			Perf:       perf,
-		}
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// SubstrateResultJSON mirrors SubstrateResult for the -json bench table.
-type SubstrateResultJSON struct {
-	Substrate  string   `json:"substrate"`
-	Threads    int      `json:"threads"`
-	OpsEach    int      `json:"ops_each"`
-	Keys       int      `json:"keys"`
-	ReadPct    int      `json:"read_pct"`
-	Seed       int64    `json:"seed"`
-	Commits    uint64   `json:"commits"`
-	Aborts     uint64   `json:"aborts"`
+// derivedJSON is the keys every result row computes rather than stores.
+type derivedJSON struct {
 	AbortRatio float64  `json:"abort_ratio"`
-	Extra      string   `json:"extra,omitempty"`
 	DurationMs float64  `json:"duration_ms"`
-	Perf       PerfJSON `json:"perf"`
+	Perf       perfJSON `json:"perf"`
 }
 
-// SubstrateResultsJSON renders a substrate sweep as an indented JSON
-// array.
-func SubstrateResultsJSON(results []SubstrateResult) ([]byte, error) {
-	out := make([]SubstrateResultJSON, len(results))
-	for i, r := range results {
-		out[i] = SubstrateResultJSON{
-			Substrate: r.Params.Substrate, Threads: r.Params.Threads,
-			OpsEach: r.Params.OpsEach, Keys: r.Params.Keys,
-			ReadPct: r.Params.ReadPct, Seed: r.Params.Seed,
-			Commits: r.Commits, Aborts: r.Aborts,
-			AbortRatio: r.AbortRatio(), Extra: r.Extra,
-			DurationMs: float64(r.Duration.Milliseconds()),
-			Perf:       PerfJSON{TxnPerSec: r.Throughput()},
-		}
+func derived(aborts, commits uint64, d time.Duration) derivedJSON {
+	out := derivedJSON{AbortRatio: AbortRatio(aborts, commits), DurationMs: float64(d.Milliseconds())}
+	if d > 0 {
+		out.Perf.TxnPerSec = float64(commits) / d.Seconds()
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
 }
 
-// LoadSummaryJSON is the load generator's BENCH-compatible summary —
-// the network-side counterpart of SubstrateResultJSON, sharing PerfJSON.
-type LoadSummaryJSON struct {
-	Addr        string  `json:"addr"`
-	Substrate   string  `json:"substrate,omitempty"` // from the server's /stats when known
-	Clients     int     `json:"clients"`
-	Keys        int     `json:"keys"`
-	ReadPct     int     `json:"read_pct"`
-	OpsPerTxn   int     `json:"ops_per_txn"`
-	OpMix       string  `json:"op_mix,omitempty"`
-	Skew        float64 `json:"skew,omitempty"`
-	Interactive bool    `json:"interactive"`
-	Seed        int64   `json:"seed"`
-	Shards      int     `json:"shards,omitempty"`
-	CrossPct    int     `json:"cross_pct,omitempty"`
-	ReadOnlyPct int     `json:"readonly_pct,omitempty"`
-	DurationMs  float64 `json:"duration_ms"`
-	Commits     uint64  `json:"commits"`
-	Aborts      uint64  `json:"aborts"`
-	Busy        uint64  `json:"busy"`
-	Errors      uint64  `json:"errors"`
-	Retries     uint64  `json:"retries"`
-	ROCommits   uint64  `json:"ro_commits,omitempty"`
-	ROAborts    uint64  `json:"ro_aborts"`
-	// AbortRatio and CommuteHits deliberately never omit their zero
-	// values: "0 aborts" and "0 commute hits" are findings, not noise.
-	AbortRatio  float64  `json:"abort_ratio"`
-	CommuteHits uint64   `json:"commute_hits"`
-	Perf        PerfJSON `json:"perf"`
+// MarshalJSON renders one row of `pushpull-bench -json -table model`.
+func (r ModelResult) MarshalJSON() ([]byte, error) {
+	type tagged ModelResult
+	return json.Marshal(struct {
+		ModelParams
+		tagged
+		derivedJSON
+	}{r.Params, tagged(r), derived(uint64(r.Aborts), uint64(r.Commits), r.Duration)})
 }
 
-// EncodeLoadSummary renders one load summary as indented JSON.
-func EncodeLoadSummary(s LoadSummaryJSON) ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
+// MarshalJSON renders one row of `pushpull-bench -json -table substrate`.
+func (r SubstrateResult) MarshalJSON() ([]byte, error) {
+	type tagged SubstrateResult
+	return json.Marshal(struct {
+		SubstrateParams
+		tagged
+		derivedJSON
+	}{r.Params, tagged(r), derived(r.Aborts, r.Commits, r.Duration)})
 }
 
-// CrashOutcomeJSON mirrors CrashOutcome with errors stringified and
-// the raw segment images summarized to a byte count.
-type CrashOutcomeJSON struct {
-	Target       string `json:"target"`
-	Seed         int64  `json:"seed"`
-	Plan         string `json:"plan"`
-	Policy       string `json:"policy"`
-	Crashed      bool   `json:"crashed"`
-	Commits      uint64 `json:"commits"`
-	Recovered    int    `json:"recovered"`
-	Discarded    int    `json:"discarded"`
-	Truncated    bool   `json:"truncated"`
-	DurableBytes int    `json:"durable_bytes"`
-	RunErr       string `json:"run_err,omitempty"`
-	CertErr      string `json:"cert_err,omitempty"`
-}
-
-// CrashOutcomesJSON renders a crash campaign's outcomes as an indented
-// JSON array.
-func CrashOutcomesJSON(outcomes []CrashOutcome) ([]byte, error) {
-	out := make([]CrashOutcomeJSON, len(outcomes))
-	for i, o := range outcomes {
-		bytes := 0
-		for _, seg := range o.Segments {
-			bytes += len(seg)
-		}
-		out[i] = CrashOutcomeJSON{
-			Target: o.Target, Seed: o.Seed, Plan: o.Plan,
-			Policy: o.Policy.String(), Crashed: o.Crashed,
-			Commits: o.Commits, Recovered: o.Recovered,
-			Discarded: o.Discarded, Truncated: o.Truncated,
-			DurableBytes: bytes,
-		}
-		if o.RunErr != nil {
-			out[i].RunErr = o.RunErr.Error()
-		}
-		if o.CertErr != nil {
-			out[i].CertErr = o.CertErr.Error()
-		}
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// FailoverOutcomeJSON mirrors FailoverOutcome with the error
-// stringified.
-type FailoverOutcomeJSON struct {
-	Seed          int64  `json:"seed"`
-	Plan          string `json:"plan"`
-	CrashFired    bool   `json:"crash_fired"`
-	Commits       uint64 `json:"commits"`
-	Aborts        uint64 `json:"aborts"`
-	GaveUp        uint64 `json:"gave_up"`
-	AckedKeys     int    `json:"acked_keys"`
-	Partitions    int    `json:"partitions"`
-	AckWithheld   uint64 `json:"ack_withheld"`
-	ZombieRefused uint64 `json:"zombie_refused"`
-	Retried       int    `json:"retried"`
-	DedupHits     int    `json:"dedup_hits"`
-	LeaseEpoch    uint64 `json:"lease_epoch"`
-	PromotedTxns  int    `json:"promoted_txns"`
-	InDoubt       int    `json:"in_doubt"`
-	HistoryTxns   int    `json:"history_txns"`
-	Err           string `json:"err,omitempty"`
-}
-
-// FailoverOutcomesJSON renders a failover sweep as an indented JSON
-// array.
-func FailoverOutcomesJSON(outcomes []FailoverOutcome) ([]byte, error) {
-	out := make([]FailoverOutcomeJSON, len(outcomes))
-	for i, o := range outcomes {
-		out[i] = FailoverOutcomeJSON{
-			Seed: o.Seed, Plan: o.Plan, CrashFired: o.CrashFired,
-			Commits: o.Commits, Aborts: o.Aborts, GaveUp: o.GaveUp,
-			AckedKeys: o.Acked, Partitions: o.Partitions,
-			AckWithheld: o.AckWithheld, ZombieRefused: o.ZombieRefused,
-			Retried: o.Retried, DedupHits: o.DedupHits,
-			LeaseEpoch: o.LeaseEpoch, PromotedTxns: o.PromotedTxns,
-			InDoubt: o.InDoubt, HistoryTxns: o.HistoryTxns,
-		}
-		if o.Err != nil {
-			out[i].Err = o.Err.Error()
-		}
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// ReplBenchJSON is the BENCH_repl.json schema: follower-read
-// throughput and replication lag under write load, certified (every
-// follower drained to zero lag, matched the primary's KV image, and
-// passed the full recovery certificate).
-type ReplBenchJSON struct {
-	Benchmark  string   `json:"benchmark"`
-	Shards     int      `json:"shards"`
-	Keys       int      `json:"keys"`
-	Replicas   int      `json:"replicas"`
-	Writers    int      `json:"writers"`
-	Readers    int      `json:"readers"`
-	Seed       int64    `json:"seed"`
-	DurationMs float64  `json:"duration_ms"`
-	Commits    uint64   `json:"commits"`
-	WritePerf  PerfJSON `json:"write_perf"`
-	Reads      uint64   `json:"follower_reads"`
-	ReadPerf   PerfJSON `json:"follower_read_perf"`
-	Syncs      uint64   `json:"pull_syncs"`
-	MaxLag     uint64   `json:"max_lag_records"`
-	LagAtStop  uint64   `json:"lag_at_load_stop_records"`
-}
-
-// OpsBenchJSON is the BENCH_ops.json schema: the skewed hot-counter
-// workload through the typed commuting surface and through the blind
-// GET-then-PUT emulation, both certified at shutdown.
-type OpsBenchJSON struct {
-	Benchmark string        `json:"benchmark"`
-	Clients   int           `json:"clients"`
-	Keys      int           `json:"keys"`
-	OpsPerTxn int           `json:"ops_per_txn"`
-	Skew      float64       `json:"skew"`
-	Mix       string        `json:"op_mix"`
-	Seed      int64         `json:"seed"`
-	Typed     OpsSideResult `json:"typed"`
-	Blind     OpsSideResult `json:"blind_rmw"`
-}
-
-// EncodeOpsBench renders one hot-counter bench result as indented JSON.
-func EncodeOpsBench(r OpsBenchResult) ([]byte, error) {
-	return json.MarshalIndent(OpsBenchJSON{
-		Benchmark: "commutativity-aware typed operations: hot-counter abort ratio, typed vs blind RMW",
-		Clients:   r.Params.Clients, Keys: r.Params.Keys,
-		OpsPerTxn: r.Params.OpsPerTxn, Skew: r.Params.Skew,
-		Mix: r.Params.Mix, Seed: r.Params.Seed,
-		Typed: r.Typed, Blind: r.Blind,
-	}, "", "  ")
-}
-
-// SeqBenchJSON is the BENCH_seq.json schema: the same cross-shard
-// workload through the mutex coordinator and the deterministic
-// sequencer, both certified at shutdown.
-type SeqBenchJSON struct {
-	Benchmark     string        `json:"benchmark"`
-	Shards        int           `json:"shards"`
-	Keys          int           `json:"keys"`
-	Clients       int           `json:"clients"`
-	CrossPct      int           `json:"cross_pct"`
-	Skew          float64       `json:"skew"`
-	Seed          int64         `json:"seed"`
-	Rounds        int           `json:"rounds"` // interleaved mutex/seq segments per side
-	BatchInterval string        `json:"batch_interval,omitempty"`
-	Mutex         SeqSideResult `json:"mutex_coordinator"`
-	Seq           SeqSideResult `json:"sequencer"`
-	Speedup       float64       `json:"speedup_txn_per_sec"`
-}
-
-// EncodeSeqBench renders one sequencer bench result as indented JSON.
-func EncodeSeqBench(r SeqBenchResult) ([]byte, error) {
-	j := SeqBenchJSON{
-		Benchmark: "deterministic ordered commit: mutex coordinator vs sequencer, certified cross-shard throughput",
-		Shards:    r.Params.Shards, Keys: r.Params.Keys,
-		Clients: r.Params.Clients, CrossPct: r.Params.CrossPct,
-		Skew: r.Params.Skew, Seed: r.Params.Seed,
-		Rounds: r.Params.Rounds,
-		Mutex:  r.Mutex, Seq: r.Seq, Speedup: r.Speedup,
-	}
-	if r.Params.BatchInterval > 0 {
-		j.BatchInterval = r.Params.BatchInterval.String()
-	}
-	return json.MarshalIndent(j, "", "  ")
-}
-
-// EncodeReplBench renders one replication bench result as indented
-// JSON.
-func EncodeReplBench(r ReplBenchResult) ([]byte, error) {
-	return json.MarshalIndent(ReplBenchJSON{
-		Benchmark: "replicated serving: follower reads and pull-path lag under write load",
-		Shards:    r.Params.Shards, Keys: r.Params.Keys,
-		Replicas: r.Params.Replicas, Writers: r.Params.Writers,
-		Readers: r.Params.Readers, Seed: r.Params.Seed,
-		DurationMs: float64(r.Duration.Milliseconds()),
-		Commits:    r.Commits, WritePerf: PerfJSON{TxnPerSec: r.WriteTps()},
-		Reads: r.Reads, ReadPerf: PerfJSON{TxnPerSec: r.ReadTps()},
-		Syncs: r.Syncs, MaxLag: r.MaxLag, LagAtStop: r.LagAtStop,
+// LoadSummaryJSON renders one load-generator result as the
+// `pushpull-load -json` document — the network-side counterpart of a
+// substrate row. opMix is the -op-mix flag as given.
+func LoadSummaryJSON(res kvapi.LoadResult, opMix string) ([]byte, error) {
+	p := res.Params
+	d := derived(res.Aborts, res.Commits, res.Elapsed)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	d.Perf.P50Ms, d.Perf.P95Ms, d.Perf.P99Ms = ms(res.P50), ms(res.P95), ms(res.P99)
+	return json.MarshalIndent(struct {
+		Addr        string  `json:"addr"`
+		Clients     int     `json:"clients"`
+		Keys        int     `json:"keys"`
+		ReadPct     int     `json:"read_pct"`
+		OpsPerTxn   int     `json:"ops_per_txn"`
+		OpMix       string  `json:"op_mix,omitempty"`
+		Skew        float64 `json:"skew,omitempty"`
+		Interactive bool    `json:"interactive"`
+		Seed        int64   `json:"seed"`
+		Shards      int     `json:"shards,omitempty"`
+		CrossPct    int     `json:"cross_pct,omitempty"`
+		ReadOnlyPct int     `json:"readonly_pct,omitempty"`
+		Commits     uint64  `json:"commits"`
+		Aborts      uint64  `json:"aborts"`
+		Busy        uint64  `json:"busy"`
+		Errors      uint64  `json:"errors"`
+		Retries     uint64  `json:"retries"`
+		ROCommits   uint64  `json:"ro_commits,omitempty"`
+		// ro_aborts, abort_ratio and commute_hits deliberately never
+		// omit their zero values: "0 aborts" and "0 commute hits" are
+		// findings, not noise.
+		ROAborts    uint64 `json:"ro_aborts"`
+		CommuteHits uint64 `json:"commute_hits"`
+		derivedJSON
+	}{
+		p.Addr, p.Clients, p.Keys, p.ReadPct, p.OpsPerTxn, opMix, p.Skew,
+		p.Interactive, p.Seed, p.Shards, p.CrossPct, p.ReadOnlyPct,
+		res.Commits, res.Aborts, res.Busy, res.Errors, res.Retries,
+		res.ROCommits, res.ROAborts, res.CommuteHits, d,
 	}, "", "  ")
 }

@@ -168,15 +168,15 @@ func TestObsSnapshotConsistency(t *testing.T) {
 // trip through the JSON encoders with errors flattened to strings.
 func TestCampaignJSON(t *testing.T) {
 	p := ChaosParams{Targets: []string{"tl2"}, Seeds: 2, Threads: 2, OpsEach: 8, Keys: 8, Rate: 0.1}
-	_, outcomes, err := ChaosCampaign(p)
+	_, outcomes, err := Sweep(p, RunChaosOne)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosOutcomesJSON(outcomes)
+	b, err := json.MarshalIndent(outcomes, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []ChaosOutcomeJSON
+	var rows []Outcome
 	if err := json.Unmarshal(b, &rows); err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +184,15 @@ func TestCampaignJSON(t *testing.T) {
 		t.Fatalf("chaos json rows: %+v", rows)
 	}
 
-	_, crashes, err := CrashCampaign(ChaosParams{Targets: []string{"tl2"}, Seeds: 1, Threads: 2, OpsEach: 8, Keys: 8, Rate: 0.1})
+	_, crashes, err := Sweep(ChaosParams{Targets: []string{"tl2"}, Seeds: 1, Threads: 2, OpsEach: 8, Keys: 8, Rate: 0.1}, RunCrashOne)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := CrashOutcomesJSON(crashes)
+	cb, err := json.MarshalIndent(crashes, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var crows []CrashOutcomeJSON
+	var crows []Outcome
 	if err := json.Unmarshal(cb, &crows); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func ShardChaosPlanFor(seed int64, rate float64, p ChaosParams) chaos.Plan {
 // difference between the two sweeps is which cross-shard commit path
 // the engine routes through — the fault plan, the murder window, and
 // both certificates are identical.
-func runChaosShard(seed int64, p ChaosParams, out *ChaosOutcome, seqMode bool) error {
+func runChaosShard(seed int64, p ChaosParams, out *Outcome, seqMode bool) error {
 	plan := ShardChaosPlanFor(seed, p.Rate, p)
 	out.Plan = plan.String()
 	eng, err := shard.New(shard.Options{

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"pushpull/internal/adt"
+	"pushpull/internal/chaos"
+	"pushpull/internal/core"
 	"pushpull/internal/obs"
-	"pushpull/internal/spec"
 	"pushpull/internal/stm/boost"
 	"pushpull/internal/stm/dep"
 	"pushpull/internal/stm/htmsim"
@@ -20,42 +20,37 @@ import (
 
 // SubstrateParams configures one real-substrate throughput run.
 type SubstrateParams struct {
-	Substrate string // tl2 | pess | boost | htmsim | dep
-	Threads   int
-	OpsEach   int
-	Keys      int // word/key range; fewer = hotter
-	ReadPct   int
-	Seed      int64
+	Substrate string `json:"substrate"` // tl2 | pess | boost | htmsim | dep
+	Threads   int    `json:"threads"`
+	OpsEach   int    `json:"ops_each"`
+	Keys      int    `json:"keys"` // word/key range; fewer = hotter
+	ReadPct   int    `json:"read_pct"`
+	Seed      int64  `json:"seed"`
 	// Yield inserts this many scheduler yields between a transaction's
 	// read and its write, widening the conflict window — necessary to
 	// exercise contention under GOMAXPROCS=1, where short transactions
 	// otherwise run to completion unpreempted.
-	Yield int
+	Yield int `json:"-"`
 	// Obs, when non-nil, instruments the run: a certifying shadow-
 	// machine recorder is attached and its rule stream (site-labelled
 	// with the substrate name) feeds the suite. This puts the recorder
 	// on the measured path — use it for observability runs, not raw
 	// throughput baselines (nil leaves the bench path untouched).
-	Obs *obs.Suite
+	Obs *obs.Suite `json:"-"`
 }
 
 // SubstrateResult reports a substrate run. Commits/Aborts are the
 // substrate's own counters; Throughput is transactions per second.
 type SubstrateResult struct {
-	Params   SubstrateParams
-	Commits  uint64
-	Aborts   uint64
-	Extra    string // substrate-specific (fallbacks, cascades, ...)
-	Duration time.Duration
+	Params   SubstrateParams `json:"-"` // flattened into the row by MarshalJSON
+	Commits  uint64          `json:"commits"`
+	Aborts   uint64          `json:"aborts"`
+	Extra    string          `json:"extra,omitempty"` // substrate-specific (fallbacks, cascades, ...)
+	Duration time.Duration   `json:"-"`               // encoded as duration_ms
 }
 
-// AbortRatio is aborts per commit.
-func (r SubstrateResult) AbortRatio() float64 {
-	if r.Commits == 0 {
-		return 0
-	}
-	return float64(r.Aborts) / float64(r.Commits)
-}
+// AbortRatio is the fraction of attempts that aborted.
+func (r SubstrateResult) AbortRatio() float64 { return AbortRatio(r.Aborts, r.Commits) }
 
 // Throughput is committed transactions per second.
 func (r SubstrateResult) Throughput() float64 {
@@ -68,157 +63,136 @@ func (r SubstrateResult) Throughput() float64 {
 // SubstrateNames lists the sweepable substrates.
 func SubstrateNames() []string { return []string{"tl2", "pess", "boost", "htmsim", "dep"} }
 
-// RunSubstrate runs the common read-modify-write workload on the named
-// substrate: each transaction touches one key — readPct% of the time a
-// pure read, otherwise a read-increment-write — so contention is
-// controlled purely by the key range.
-func RunSubstrate(p SubstrateParams) (SubstrateResult, error) {
-	run := func(txn func(g, i int, rng *rand.Rand) error) time.Duration {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < p.Threads; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(p.Seed + int64(g)))
-				for i := 0; i < p.OpsEach; i++ {
-					if err := txn(g, i, rng); err != nil {
-						panic(fmt.Sprintf("bench substrate %s: %v", p.Substrate, err))
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		return time.Since(start)
+// seams is what a run attaches to a substrate: the certifying
+// recorder, the fault injector, the retry policy and the commit
+// barrier. The zero value attaches nothing — the raw throughput path.
+type seams struct {
+	rec     *trace.Recorder
+	inj     chaos.Injector
+	retry   *chaos.RetryPolicy
+	durable core.Durable
+}
+
+// wordTx is the transaction surface the four word substrates share.
+type wordTx interface {
+	Read(addr int) (int64, error)
+	Write(addr int, val int64) error
+}
+
+// rmwWord is the common transaction body: a pure read, or a
+// read-increment-write with yield scheduler yields in between.
+func rmwWord(tx wordTx, addr int, readOnly bool, yield int) error {
+	v, err := tx.Read(addr)
+	if err != nil || readOnly {
+		return err
 	}
+	yieldN(yield)
+	return tx.Write(addr, v+1)
+}
 
-	rec := benchRecorder(p)
-
-	switch p.Substrate {
+// rmwSubstrate builds the named substrate with the seams attached and
+// returns the common read-modify-write transaction over it — one key,
+// so contention is controlled purely by the key range — and its own
+// commit/abort counters (extra is substrate-specific: fallbacks,
+// cascades). Both the throughput sweep and the chaos/crash targets run
+// through it.
+func rmwSubstrate(name string, keys int, seed int64, s seams) (
+	txn func(key int, readOnly bool, yield int) error,
+	stats func() (commits, aborts uint64, extra string), err error) {
+	switch name {
 	case "tl2":
-		m := tl2.New(p.Keys)
-		m.Recorder = rec
-		d := run(func(g, i int, rng *rand.Rand) error {
-			addr := rng.Intn(p.Keys)
-			read := rng.Intn(100) < p.ReadPct
-			return m.Atomic(func(tx *tl2.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || read {
-					return err
-				}
-				yieldN(p.Yield)
-				return tx.Write(addr, v+1)
-			})
-		})
-		st := m.Stats()
-		return finishSub(SubstrateResult{Params: p, Commits: st.Commits, Aborts: st.Aborts, Duration: d}, rec)
-
+		m := tl2.New(keys)
+		m.Recorder, m.Injector, m.Retry, m.Durable = s.rec, s.inj, s.retry, s.durable
+		txn = func(key int, readOnly bool, yield int) error {
+			return m.AtomicNamed("t", func(tx *tl2.Tx) error { return rmwWord(tx, key, readOnly, yield) })
+		}
+		stats = func() (uint64, uint64, string) { st := m.Stats(); return st.Commits, st.Aborts, "" }
 	case "pess":
-		m := pess.New(p.Keys)
-		m.Recorder = rec
-		d := run(func(g, i int, rng *rand.Rand) error {
-			addr := rng.Intn(p.Keys)
-			read := rng.Intn(100) < p.ReadPct
-			return m.Atomic(func(tx *pess.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || read {
-					return err
-				}
-				yieldN(p.Yield)
-				return tx.Write(addr, v+1)
-			})
-		})
-		st := m.Stats()
-		return finishSub(SubstrateResult{Params: p, Commits: st.Commits, Aborts: st.Aborts, Duration: d}, rec)
-
+		m := pess.New(keys)
+		m.Recorder, m.Injector, m.Retry, m.Durable = s.rec, s.inj, s.retry, s.durable
+		txn = func(key int, readOnly bool, yield int) error {
+			return m.AtomicNamed("t", func(tx *pess.Tx) error { return rmwWord(tx, key, readOnly, yield) })
+		}
+		stats = func() (uint64, uint64, string) { st := m.Stats(); return st.Commits, st.Aborts, "" }
+	case "htmsim":
+		h := htmsim.New(keys)
+		h.Recorder, h.Injector, h.Retry, h.Durable = s.rec, s.inj, s.retry, s.durable
+		txn = func(key int, readOnly bool, yield int) error {
+			return h.Atomic("t", func(tx *htmsim.Tx) error { return rmwWord(tx, key, readOnly, yield) })
+		}
+		stats = func() (uint64, uint64, string) {
+			st := h.Stats()
+			return st.Commits, st.ConflictAborts + st.CapacityAborts, fmt.Sprintf("fallbacks=%d", st.Fallbacks)
+		}
+	case "dep":
+		m := dep.New(keys)
+		m.Recorder, m.Injector, m.Retry, m.Durable = s.rec, s.inj, s.retry, s.durable
+		txn = func(key int, readOnly bool, yield int) error {
+			return m.Atomic("t", func(tx *dep.Tx) error { return rmwWord(tx, key, readOnly, yield) })
+		}
+		stats = func() (uint64, uint64, string) {
+			st := m.Stats()
+			return st.Commits, st.Aborts, fmt.Sprintf("cascades=%d", st.Cascades)
+		}
 	case "boost":
 		rt := boost.NewRuntime()
-		rt.Recorder = rec
-		ht := boost.NewMap(rt, "ht", p.Seed)
-		d := run(func(g, i int, rng *rand.Rand) error {
-			key := int64(rng.Intn(p.Keys))
-			read := rng.Intn(100) < p.ReadPct
+		rt.Recorder, rt.Injector, rt.Retry, rt.Durable = s.rec, s.inj, s.retry, s.durable
+		ht := boost.NewMap(rt, "ht", seed)
+		txn = func(key int, readOnly bool, yield int) error {
 			return rt.Atomic("b", func(tx *boost.Txn) error {
-				v, present, err := tx2val(ht.Get(tx, key))
-				if err != nil || read {
+				v, present, err := ht.Get(tx, int64(key))
+				if err != nil || readOnly {
 					return err
 				}
 				if !present {
 					v = 0
 				}
-				yieldN(p.Yield)
-				_, _, err = ht.Put(tx, key, v+1)
+				yieldN(yield)
+				_, _, err = ht.Put(tx, int64(key), v+1)
 				return err
 			})
-		})
-		st := rt.Stats()
-		return finishSub(SubstrateResult{Params: p, Commits: st.Commits, Aborts: st.Aborts, Duration: d}, rec)
-
-	case "htmsim":
-		h := htmsim.New(p.Keys)
-		h.Recorder = rec
-		d := run(func(g, i int, rng *rand.Rand) error {
-			addr := rng.Intn(p.Keys)
-			read := rng.Intn(100) < p.ReadPct
-			return h.Atomic("h", func(tx *htmsim.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || read {
-					return err
-				}
-				yieldN(p.Yield)
-				return tx.Write(addr, v+1)
-			})
-		})
-		st := h.Stats()
-		return finishSub(SubstrateResult{Params: p, Commits: st.Commits,
-			Aborts: st.ConflictAborts + st.CapacityAborts,
-			Extra:  fmt.Sprintf("fallbacks=%d", st.Fallbacks), Duration: d}, rec)
-
-	case "dep":
-		m := dep.New(p.Keys)
-		m.Recorder = rec
-		d := run(func(g, i int, rng *rand.Rand) error {
-			addr := rng.Intn(p.Keys)
-			read := rng.Intn(100) < p.ReadPct
-			return m.Atomic("d", func(tx *dep.Tx) error {
-				v, err := tx.Read(addr)
-				if err != nil || read {
-					return err
-				}
-				yieldN(p.Yield)
-				return tx.Write(addr, v+1)
-			})
-		})
-		st := m.Stats()
-		return finishSub(SubstrateResult{Params: p, Commits: st.Commits, Aborts: st.Aborts,
-			Extra: fmt.Sprintf("cascades=%d", st.Cascades), Duration: d}, rec)
-
+		}
+		stats = func() (uint64, uint64, string) { st := rt.Stats(); return st.Commits, st.Aborts, "" }
 	default:
-		return SubstrateResult{}, fmt.Errorf("bench: unknown substrate %q", p.Substrate)
+		return nil, nil, fmt.Errorf("bench: unknown substrate %q", name)
 	}
+	return txn, stats, nil
 }
 
-// benchRecorder builds the certifying recorder an instrumented bench
-// run attaches; nil without a suite, so the raw bench path stays
-// recorder-free.
-func benchRecorder(p SubstrateParams) *trace.Recorder {
-	if p.Obs == nil {
-		return nil
+// RunSubstrate runs the common read-modify-write workload on the named
+// substrate: each transaction touches one key — readPct% of the time a
+// pure read, otherwise a read-increment-write.
+func RunSubstrate(p SubstrateParams) (SubstrateResult, error) {
+	// An instrumented run certifies on a shadow machine whose rule
+	// stream (site-labelled with the substrate name) feeds the suite;
+	// without a suite the bench path stays recorder-free.
+	var rec *trace.Recorder
+	if p.Obs != nil {
+		rec = trace.NewRecorder(CertRegistryFor(p.Substrate))
+		rec.SetSite(p.Substrate)
+		rec.AttachSink(p.Obs)
 	}
-	reg := spec.NewRegistry()
-	if p.Substrate == "boost" {
-		reg.Register("ht", adt.Map{})
-	} else {
-		reg.Register("mem", adt.Register{})
+	txn, stats, err := rmwSubstrate(p.Substrate, p.Keys, p.Seed, seams{rec: rec})
+	if err != nil {
+		return SubstrateResult{}, err
 	}
-	rec := trace.NewRecorder(reg)
-	rec.SetSite(p.Substrate)
-	rec.AttachSink(p.Obs)
-	return rec
-}
-
-// finishSub appends the certification verdict of an instrumented run.
-func finishSub(res SubstrateResult, rec *trace.Recorder) (SubstrateResult, error) {
+	var wg sync.WaitGroup
+	start := time.Now()
+	for g := 0; g < p.Threads; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(p.Seed + int64(g)))
+			for i := 0; i < p.OpsEach; i++ {
+				if err := txn(rng.Intn(p.Keys), rng.Intn(100) < p.ReadPct, p.Yield); err != nil {
+					panic(fmt.Sprintf("bench substrate %s: %v", p.Substrate, err))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	res := SubstrateResult{Params: p, Duration: time.Since(start)}
+	res.Commits, res.Aborts, res.Extra = stats()
 	if rec != nil {
 		if err := rec.FinalCheck(); err != nil {
 			return res, err
@@ -227,25 +201,22 @@ func finishSub(res SubstrateResult, rec *trace.Recorder) (SubstrateResult, error
 	return res, nil
 }
 
-func tx2val(v int64, present bool, err error) (int64, bool, error) { return v, present, err }
-
 func yieldN(n int) {
 	for i := 0; i < n; i++ {
 		runtime.Gosched()
 	}
 }
 
-// SweepSubstrates runs every substrate across contention levels and
-// renders the E10 comparison table.
-func SweepSubstrates(threads, opsEach int, keyRanges []int, readPct int, seed int64, yield int) (string, []SubstrateResult, error) {
+// SweepSubstrates runs every substrate across contention levels (key
+// ranges; p.Substrate and p.Keys are overridden per cell) and renders
+// the E10 comparison table.
+func SweepSubstrates(p SubstrateParams, keyRanges []int) (string, []SubstrateResult, error) {
 	var rows []Row
 	var results []SubstrateResult
 	for _, keys := range keyRanges {
 		for _, s := range SubstrateNames() {
-			res, err := RunSubstrate(SubstrateParams{
-				Substrate: s, Threads: threads, OpsEach: opsEach,
-				Keys: keys, ReadPct: readPct, Seed: seed, Yield: yield,
-			})
+			p.Substrate, p.Keys = s, keys
+			res, err := RunSubstrate(p)
 			if err != nil {
 				return "", nil, err
 			}
@@ -253,7 +224,7 @@ func SweepSubstrates(threads, opsEach int, keyRanges []int, readPct int, seed in
 			rows = append(rows, Row{
 				s, fmt.Sprintf("%d", keys),
 				fmt.Sprintf("%d", res.Commits), fmt.Sprintf("%d", res.Aborts),
-				fmt.Sprintf("%.3f", res.AbortRatio()),
+				fmt.Sprintf("%.3f", abortsPerCommit(res.Aborts, res.Commits)),
 				fmt.Sprintf("%.0f", res.Throughput()),
 				res.Extra,
 			})

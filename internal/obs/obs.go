@@ -18,8 +18,9 @@
 //   - the WAL: wal.Options.SyncObserver → Metrics.WALSyncObserved.
 //
 // internal/bench wires all of these when ChaosParams/SubstrateParams
-// carry a Suite; cmd/pushpull-obs drives any bench/chaos target and
-// emits the Prometheus-text summary plus the Chrome-trace timeline.
+// carry a Suite; the -metrics/-trace/-http flags of pushpull-check's
+// sweeps and of pushpull-bench attach one (bench.ObsOutputs) and emit
+// the Prometheus-text summary plus the Chrome-trace timeline.
 package obs
 
 import (

@@ -23,7 +23,7 @@ func TestReplayIdempotenceAcrossSubstrates(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", target, seed), func(t *testing.T) {
 				o := bench.RunCrashOne(target, seed, p)
-				if err := o.Err(); err != nil {
+				if err := o.Err; err != nil {
 					t.Fatalf("crash run failed: %v (replay: %s)", err, o.Plan)
 				}
 				once := recovery.Recover(o.Segments)

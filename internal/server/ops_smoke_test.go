@@ -1,6 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,6 +139,129 @@ func TestOpsSmoke(t *testing.T) {
 	if err := s2.FinalCheck(); err != nil {
 		t.Fatalf("post-recovery final check: %v", err)
 	}
+}
+
+// TestOpsTypedVsBlindRMW (ops-smoke, contention half): the same skewed
+// hot counters driven twice against a fresh boosted server — through
+// the typed surface (INCR-heavy one-shot transactions whose hot cells
+// commute under shared abstract locks) and through the blind
+// read-modify-write every untyped client is forced into (interactive
+// GET-then-PUT sessions, whose answered reads go stale the moment a
+// peer commits). Both servers pass the full certification gate at
+// shutdown, so the gap is a property of two serializable executions:
+// the typed surface's abort ratio must not exceed the blind one's.
+func TestOpsTypedVsBlindRMW(t *testing.T) {
+	const (
+		clients, keys, opsPerTxn = 4, 16, 2
+		skew, seed               = 1.4, 3
+		window                   = 300 * time.Millisecond
+	)
+	opts := Options{Substrate: "boost", Keys: keys, Seed: seed, MaxInflight: 2 * clients, MaxQueue: 4 * clients}
+	certify := func(s *Server) {
+		t.Helper()
+		s.Stop()
+		if err := s.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FinalCheck(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ratio := func(aborts, commits uint64) float64 { return float64(aborts) / float64(aborts+commits) }
+
+	s, addr := startServer(t, opts)
+	mix, err := kvapi.ParseOpMix("incr:80,cget:10,cas:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed, err := kvapi.RunLoad(kvapi.LoadParams{
+		Addr: addr, Clients: clients, Duration: window, Keys: keys,
+		OpsPerTxn: opsPerTxn, OpMix: mix, Skew: skew, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify(s)
+
+	// The blind leg confines its keys to the typed leg's counter
+	// partition [0, keys/2) so both hammer the same hot cells.
+	s, addr = startServer(t, opts)
+	var commits, aborts atomic.Uint64
+	deadline := time.Now().Add(window)
+	var wg sync.WaitGroup
+	for id := 0; id < clients; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c, err := kvapi.Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(seed + int64(id)*7919))
+			zipf := rand.NewZipf(rng, skew, 1, keys-1)
+			for time.Now().Before(deadline) {
+				committed, err := blindIncrTxn(c, opsPerTxn, func() uint64 { return zipf.Uint64() % (keys / 2) })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if committed {
+					commits.Add(1)
+				} else {
+					aborts.Add(1)
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	certify(s)
+
+	if typed.Commits == 0 || commits.Load() == 0 {
+		t.Fatalf("idle leg: typed %d commits, blind %d commits", typed.Commits, commits.Load())
+	}
+	tr, br := ratio(typed.Aborts, typed.Commits), ratio(aborts.Load(), commits.Load())
+	t.Logf("typed: %d commits, abort ratio %.3f; blind: %d commits, abort ratio %.3f",
+		typed.Commits, tr, commits.Load(), br)
+	if tr > br {
+		t.Fatalf("typed abort ratio %.3f exceeds blind %.3f on a hot-counter load", tr, br)
+	}
+}
+
+// blindIncrTxn is one GET-then-PUT increment transaction over an
+// interactive session; a non-OK status mid-session is an abort (the
+// server has closed the session).
+func blindIncrTxn(c *kvapi.Client, ops int, pick func() uint64) (committed bool, err error) {
+	for {
+		resp, err := c.Begin()
+		if err != nil {
+			return false, err
+		}
+		if resp.Status == kvapi.StatusOK {
+			break
+		}
+		if resp.Status != kvapi.StatusBusy {
+			return false, fmt.Errorf("begin: %s %s", resp.Status, resp.Msg)
+		}
+		time.Sleep(time.Duration(resp.RetryAfterMs) * time.Millisecond)
+	}
+	for j := 0; j < ops; j++ {
+		key := pick()
+		resp, err := c.Get(key)
+		if err != nil || resp.Status != kvapi.StatusOK {
+			return false, err
+		}
+		val := int64(0)
+		if len(resp.Results) > 0 {
+			val = resp.Results[0].Val
+		}
+		if resp, err = c.Put(key, val+1); err != nil || resp.Status != kvapi.StatusOK {
+			return false, err
+		}
+	}
+	resp, err := c.Commit()
+	return err == nil && resp.Status == kvapi.StatusOK, err
 }
 
 // TestOpsFollowerFold (ops-smoke, replication half): typed writes on a
