@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke benchmark-smoke bench ci
+.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke bench ci
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,11 @@ ops-smoke:
 	$(GO) test ./internal/server/ -run 'TestOpsSmoke|TestOpsFollowerFold|TestOpsTypedVsBlindRMW' -v
 	$(GO) test -race ./internal/obs/metrics/ -run TestTypedCountersSnapshotConsistency -v
 
+# Example smoke: run every program under examples/ (the §6 demos on the
+# public facade, each asserting its own claim); any non-zero exit fails.
+examples-smoke:
+	@for d in examples/*/; do echo "== go run ./$$d"; $(GO) run ./$$d || exit 1; done
+
 # The benchmark is a module of its own (benchmark/, replaced onto this
 # one), so `go build ./... && go test ./...` never sees it: this is what
 # notices a root change that breaks its build, its smoke-size runs of
@@ -147,4 +152,4 @@ benchmark-smoke:
 bench:
 	bash benchmark/run.sh
 
-ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke benchmark-smoke
+ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke

@@ -4,23 +4,19 @@ package pushpull_test
 //
 //   - mover decision mode (static oracles vs dynamic single-history
 //     checks vs the hybrid): conservatism and cost;
-//   - the gray criteria (PULL (iii), UNPUSH (i)): rejected-step rates;
-//   - certification log compaction: shadow-machine cost as the window
-//     grows.
+//   - the gray criteria (PULL (iii), UNPUSH (i)): rejected-step rates.
 
 import (
 	"fmt"
 	"testing"
 
 	"pushpull"
-	"pushpull/internal/adt"
 	"pushpull/internal/bench"
 	"pushpull/internal/core"
 	"pushpull/internal/sched"
 	"pushpull/internal/serial"
 	"pushpull/internal/spec"
 	"pushpull/internal/strategy"
-	"pushpull/internal/trace"
 )
 
 // runModeWorkload drives a mixed boosting/optimistic workload under the
@@ -98,33 +94,6 @@ func BenchmarkAblation_GrayCriteria(b *testing.B) {
 		b.Run(fmt.Sprintf("gray=%v", gray), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runModeWorkload(b, core.Options{Mode: spec.MoverHybrid, EnforceGray: gray}, int64(i+1))
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_Compaction measures shadow-certification cost per
-// commit as a function of the compaction window: without compaction the
-// per-commit replay grows with the whole history.
-func BenchmarkAblation_Compaction(b *testing.B) {
-	for _, every := range []int{0, 16, 128} {
-		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
-			reg := spec.NewRegistry()
-			reg.Register("mem", adt.Register{})
-			rec := trace.NewRecorder(reg)
-			rec.CompactEvery = every
-			val := map[int]int64{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				addr := i % 4
-				ok := rec.AtomicTxn("w", []trace.OpRecord{
-					{Obj: "mem", Method: "read", Args: []int64{int64(addr)}, Ret: val[addr]},
-					{Obj: "mem", Method: "write", Args: []int64{int64(addr), val[addr] + 1}, Ret: val[addr]},
-				})
-				if !ok {
-					b.Fatal(rec.Err())
-				}
-				val[addr]++
 			}
 		})
 	}

@@ -20,7 +20,8 @@ func main() {
 	reg := pushpull.NewRegistry()
 	reg.Register("mem", adt.Register{})
 	rec := pushpull.NewRecorder(reg)
-	rec.CompactEvery = 0 // keep the full trace so we can inspect opacity
+	var events pushpull.EventLog // the full trace, to inspect opacity
+	rec.AttachSink(&events)
 
 	m := dep.New(8)
 	m.Recorder = rec
@@ -121,7 +122,7 @@ func main() {
 	if err := rec.FinalCheck(); err != nil {
 		log.Fatal(err)
 	}
-	violations := pushpull.CheckOpacity(rec.Machine().Events())
+	violations := pushpull.CheckOpacity(events)
 	fmt.Printf("certified %d commits: serializable; strict opacity violations: %d (expected > 0)\n",
 		rec.Commits(), len(violations))
 	if len(violations) == 0 {

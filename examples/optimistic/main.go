@@ -24,6 +24,8 @@ func main() {
 	reg := pushpull.NewRegistry()
 	reg.Register("mem", adt.Register{})
 	rec := pushpull.NewRecorder(reg)
+	var events pushpull.EventLog
+	rec.AttachSink(&events)
 
 	m := tl2.New(accounts)
 	m.Recorder = rec
@@ -101,7 +103,7 @@ func main() {
 	st := m.Stats()
 	fmt.Printf("TL2: %d commits, %d aborts (validation conflicts), all certified serializable\n",
 		st.Commits, st.Aborts)
-	if v := pushpull.CheckOpacity(rec.Machine().Events()); len(v) == 0 {
+	if v := pushpull.CheckOpacity(events); len(v) == 0 {
 		fmt.Println("opacity: preserved (optimistic transactions never observe uncommitted state)")
 	}
 }

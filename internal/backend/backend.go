@@ -210,11 +210,6 @@ func newBackend(cfg Config) (Backend, error) {
 			return nil, err
 		}
 		rec = trace.NewRecorder(reg)
-		// Shadow-replay cost is quadratic within a compaction window
-		// (each commit re-pulls and re-denotes the window under one
-		// lock), so a serving process keeps the window much smaller
-		// than the recorder default to bound per-commit latency.
-		rec.CompactEvery = 16
 	}
 	switch cfg.Substrate {
 	case "tl2":

@@ -336,9 +336,9 @@ func (m *Machine) StartState() spec.Composite {
 // Compact folds the shared log into the machine baseline: every entry
 // must be committed and no thread may be inside a transaction. The
 // global log, commit records and events are cleared; the denoted state
-// becomes the new start state. Long-running certifications (shadow
-// machines for real STM runs) compact periodically so replay costs stay
-// proportional to the live window, not the whole history.
+// becomes the new start state. Shadow machines certifying real STM runs
+// (trace.Recorder) compact at every quiescent instant, so replay costs
+// stay proportional to the live window, not the whole history.
 //
 // Callers wanting end-to-end serializability evidence should check the
 // window (serial.CheckCommitOrder) before compacting — Compact itself

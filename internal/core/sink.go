@@ -43,6 +43,19 @@ type EventSink interface {
 	Emit(SinkEvent)
 }
 
+// EventLog is an EventSink that keeps every transition as an Event: the
+// whole rule trace of a run on a machine that keeps none of its own (a
+// trace.Recorder folds its history away), for offline checks such as
+// serial.CheckOpacity. Attach it before the run and read it after: like
+// every sink it is serialized by whatever serializes the machine.
+type EventLog []Event
+
+// Emit implements EventSink.
+func (l *EventLog) Emit(e SinkEvent) {
+	*l = append(*l, Event{Rule: e.Rule, Thread: e.Tx, TxName: e.TxName,
+		Op: e.Op, Stamp: e.Stamp, UncommittedPull: e.UncommittedPull})
+}
+
 // AddEventSink registers a sink. Sinks fire in registration order,
 // always after the LogHook (the write-ahead-log subscriber) — a single
 // dispatch point per rule, so the WAL and any metrics layer can never

@@ -363,3 +363,28 @@ func TestWALDirRestart(t *testing.T) {
 		t.Fatal("expected shard-count refusal from on-disk image")
 	}
 }
+
+// TestUncertifiedWALRefused: the WAL is written through the certifying
+// recorder, so an uncertified engine with a WAL would acknowledge
+// commits that a restart cannot find. Booting that combination must be
+// refused rather than lose the key.
+func TestUncertifiedWALRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, opts := range []Options{{WALDir: dir}, {Durable: true}} {
+		opts.DisableCert = true
+		e, err := New(opts)
+		if err != nil {
+			continue
+		}
+		if _, _, err := e.Do([]Op{{Kind: OpPut, Key: 9, Val: 99}}); err != nil {
+			t.Fatal(err)
+		}
+		img := e.Image()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e2 := newTestEngine(t, Options{WALDir: opts.WALDir, RecoverFrom: img})
+		v, _ := e2.ReadKey(9)
+		t.Fatalf("uncertified engine booted with %+v; acked put 9=99 reads %d after restart", opts, v)
+	}
+}

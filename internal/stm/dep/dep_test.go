@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pushpull/internal/adt"
+	"pushpull/internal/core"
 	"pushpull/internal/serial"
 	"pushpull/internal/spec"
 	"pushpull/internal/stm/dep"
@@ -32,7 +33,13 @@ func TestSequential(t *testing.T) {
 // TestEarlyReleaseVisible: a reader observes a writer's uncommitted
 // value and becomes dependent; dependency forces commit ordering.
 func TestEarlyReleaseVisible(t *testing.T) {
-	m := dep.New(4)
+	earlyRelease(t, dep.New(4))
+}
+
+// earlyRelease runs a writer that releases mem[0] = 77 early and a
+// reader that observes it before the writer commits.
+func earlyRelease(t *testing.T, m *dep.Memory) {
+	t.Helper()
 	var stage sync.WaitGroup
 	stage.Add(1)
 	var release sync.WaitGroup
@@ -181,7 +188,8 @@ func TestCertifiedRun(t *testing.T) {
 	reg.Register("mem", adt.Register{})
 	m := dep.New(8)
 	m.Recorder = trace.NewRecorder(reg)
-	m.Recorder.CompactEvery = 0 // keep the full log to inspect opacity
+	var events core.EventLog
+	m.Recorder.AttachSink(&events)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -217,7 +225,35 @@ func TestCertifiedRun(t *testing.T) {
 	if sum != 4*40 {
 		t.Fatalf("sum = %d, want %d", sum, 4*40)
 	}
-	violations := serial.CheckOpacity(m.Recorder.Machine().Events())
+	violations := serial.CheckOpacity(events)
 	t.Logf("certified %d commits; stats %+v; opacity violations (expected under early release): %d",
 		m.Recorder.Commits(), m.Stats(), len(violations))
+}
+
+// TestOpacityJudgedOnWholeRun: the recorder folds its history at every
+// quiescent commit, so opacity is judged on a sink attached before the
+// run. An uncommitted PULL in the run's first transactions must still
+// be reported after many more commits have folded past it.
+func TestOpacityJudgedOnWholeRun(t *testing.T) {
+	reg := spec.NewRegistry()
+	reg.Register("mem", adt.Register{})
+	m := dep.New(4)
+	m.Recorder = trace.NewRecorder(reg)
+	var events core.EventLog
+	m.Recorder.AttachSink(&events)
+
+	earlyRelease(t, m)
+	for i := 0; i < 100; i++ {
+		if err := m.Atomic(fmt.Sprintf("after-%d", i), func(tx *dep.Tx) error {
+			return tx.Write(1, int64(i))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Recorder.FinalCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if v := serial.CheckOpacity(events); len(v) != 1 || v[0].TxName != "reader" {
+		t.Fatalf("opacity violations = %v, want the reader's one uncommitted pull", v)
+	}
 }

@@ -72,10 +72,6 @@ type Recorder struct {
 
 	violations []Violation
 	commits    int
-	// CompactEvery folds the committed log into the machine baseline
-	// after this many commits (when no sessions are active), keeping
-	// replay costs proportional to the live window. <=0 disables.
-	CompactEvery int
 	// Journal keeps a record of every certified commit (name + ops in
 	// order) for export via JournalEntries / internal/history.
 	Journal bool
@@ -84,18 +80,20 @@ type Recorder struct {
 	activeSessions int
 	txnCounter     uint64
 
-	// gated pauses new Begins while the live window drains so a
-	// compaction can run (see maybeCompact); gateCond is on mu.
+	// gated pauses new Begins while the live window drains so it can
+	// fold (see fold); gateCond is on mu.
 	gated    bool
 	gateCond *sync.Cond
 }
 
 // NewRecorder builds a shadow machine over the registry. Mover mode is
 // hybrid (static oracles with dynamic fallback) and gray criteria are
-// enforced.
+// enforced. The machine keeps no rule history (every quiescent instant
+// folds it away): inspect a run through a sink attached before it
+// starts (AttachSink, core.EventLog).
 func NewRecorder(reg *spec.Registry) *Recorder {
-	opts := core.Options{Mode: spec.MoverHybrid, EnforceGray: true, RecordEvents: true}
-	r := &Recorder{m: core.NewMachine(reg, opts), reg: reg, CompactEvery: 64}
+	opts := core.Options{Mode: spec.MoverHybrid, EnforceGray: true}
+	r := &Recorder{m: core.NewMachine(reg, opts), reg: reg}
 	r.gateCond = sync.NewCond(&r.mu)
 	return r
 }
@@ -292,7 +290,7 @@ func (r *Recorder) atomicTxnLocked(name string, ops []OpRecord) bool {
 	}
 	r.commits++
 	r.journalAdd(name, ops)
-	r.maybeCompact()
+	r.fold()
 	return true
 }
 
@@ -316,9 +314,9 @@ type Session struct {
 func (r *Recorder) Begin(name string) *Session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// An over-full window is draining for compaction: park until the
-	// in-flight sessions finish and the fold runs, so certification
-	// cost stays proportional to the window, not the whole history.
+	// An over-full window is draining: park until the in-flight
+	// sessions finish and the fold runs, so certification cost stays
+	// proportional to the window, not the whole history.
 	for r.gated {
 		r.gateCond.Wait()
 	}
@@ -396,12 +394,9 @@ func (s *Session) op(obj, method string, args []int64, ret int64, mode pushMode)
 	}
 	rec := OpRecord{Obj: obj, Method: method, Args: args, Ret: ret}
 	s.ops = append(s.ops, rec)
-	// Extend the shadow program: Begin (or re-Begin) with the ops so
-	// far; simpler, re-begin is wrong — instead the session thread runs
-	// an open-ended program. We model it by beginning lazily with a
-	// growing body: begin on first op with just that op, then rely on
-	// the machine accepting each subsequent op via a fresh single-call
-	// program segment.
+	// Sessions discover their program as the substrate executes: the
+	// first op begins the shadow transaction, each later one replaces
+	// its (always fully consumed) continuation.
 	if len(s.ops) == 1 {
 		if err := s.r.m.Begin(s.t, lang.Txn{Name: s.name, Body: codeFor(s.ops)}, nil); err != nil {
 			s.r.addViolation(s.name, rec, err)
@@ -409,9 +404,6 @@ func (s *Session) op(obj, method string, args []int64, ret int64, mode pushMode)
 			return false
 		}
 	} else {
-		// Sessions discover their program as the substrate executes:
-		// replace the (always fully-consumed) continuation with the next
-		// call.
 		setThreadCode(s.t, rec)
 	}
 	if s.PullUncommitted {
@@ -534,7 +526,6 @@ func (s *Session) commitLocked() bool {
 	}
 	s.r.commits++
 	s.r.journalAdd(s.name, s.ops)
-	s.r.maybeCompact()
 	return true
 }
 
@@ -559,7 +550,7 @@ func (s *Session) end() {
 	s.done = true
 	s.r.activeSessions--
 	s.r.retire(s.t)
-	s.r.maybeCompact()
+	s.r.fold()
 }
 
 // setThreadCode installs the next discovered call as the running shadow
@@ -581,61 +572,53 @@ func (r *Recorder) retire(t *core.Thread) {
 	_ = r.m.Retire(t)
 }
 
-// maybeCompact folds the committed window into the baseline after
-// verifying commit-order serializability of the window — the incremental
-// form of the Theorem 5.17 check.
-func (r *Recorder) maybeCompact() {
-	if r.CompactEvery <= 0 {
-		return
-	}
-	w := r.m.GlobalLen()
+// gateEntries is the global-log length at which new Begins park. An
+// open session keeps the window from folding (its local view replays
+// from the baseline), and under steady concurrency every instant can
+// have one open; without the gate the window, and every commit's
+// replay over it, would grow without bound.
+const gateEntries = 32
+
+// fold runs at every quiescent instant (no session open): it checks
+// the committed window's commit-order serializability from the state
+// the previous fold reached, then folds it into the machine baseline.
+// Serializability is closed under prefixes, so certifying each window
+// from its predecessor's end certifies the whole history — the
+// incremental form of the Theorem 5.17 check.
+func (r *Recorder) fold() {
 	if r.activeSessions > 0 {
-		// Can't fold while sessions are open (their local views replay
-		// from the baseline). Under steady concurrency every check
-		// instant can have a session open — idle-instant compaction
-		// starves, the window grows without bound, and certification
-		// cost turns quadratic. Past the high-water mark, gate new
-		// Begins so the in-flight sessions drain and the last exit
-		// compacts.
-		if w >= 2*r.CompactEvery {
+		if r.m.GlobalLen() >= gateEntries {
 			r.gated = true
 		}
 		return
 	}
-	defer func() {
-		// Whatever happened — folded, skipped, or violation recorded —
-		// release any parked Begins; the gate re-arms at the next
-		// high-water crossing.
-		if r.gated {
-			r.gated = false
-			r.gateCond.Broadcast()
-		}
-	}()
-	if w < r.CompactEvery {
+	if r.gated {
+		r.gated = false
+		r.gateCond.Broadcast()
+	}
+	if r.m.GlobalLen() == 0 {
 		return
 	}
-	rep := serial.CheckCommitOrder(r.m)
-	if !rep.Serializable {
+	if rep := serial.CheckCommitOrder(r.m); !rep.Serializable {
 		r.addViolation("window", OpRecord{}, fmt.Errorf("window not serializable: %s", rep.Reason))
 		return
 	}
-	if err := r.m.Compact(); err != nil {
-		// Uncommitted foreign entries present (an in-flight AtomicTxn is
-		// impossible here, but an aborting session may have left ops);
-		// just skip this window.
-		return
-	}
+	// Compact refuses only a window an aborting session left uncommitted
+	// entries in; the next quiescent instant retries.
+	_ = r.m.Compact()
 }
 
 // FinalCheck verifies the remaining window and returns the overall
-// verdict: serializability of every certified commit plus all collected
-// violations.
+// verdict: serializability of every certified commit, the machine
+// invariants, and all collected violations.
 func (r *Recorder) FinalCheck() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep := serial.CheckCommitOrder(r.m)
-	if !rep.Serializable {
+	if rep := serial.CheckCommitOrder(r.m); !rep.Serializable {
 		return fmt.Errorf("trace: final window not serializable: %s", rep.Reason)
+	}
+	if err := r.m.Verify(); err != nil {
+		return fmt.Errorf("trace: machine invariants: %w", err)
 	}
 	if len(r.violations) > 0 {
 		return fmt.Errorf("trace: %d violations; first: %w", len(r.violations), r.violations[0].Err)

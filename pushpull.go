@@ -86,6 +86,8 @@ type (
 	SinkEvent = core.SinkEvent
 	// EventSink observes every rule transition (the telemetry seam).
 	EventSink = core.EventSink
+	// EventLog is an EventSink keeping a run's whole rule trace.
+	EventLog = core.EventLog
 )
 
 // Language types.
