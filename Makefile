@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke bench ci
+.PHONY: build test vet fmt-check smoke-lists race chaos-smoke chaos crash-smoke crash obs-smoke obs serve-smoke serve-campaign shard-smoke repl-smoke repl failover-smoke failover mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke bench ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,21 @@ fmt-check:
 
 race:
 	$(GO) test -race ./...
+
+# `go test -run X` exits 0 when a rename leaves X matching nothing, so a
+# smoke list can go silently empty: every |-separated alternative of
+# every -run pattern in this file must select a test in its package,
+# according to `go test -list`.
+smoke-lists:
+	@awk '/\$$\(GO\) test/ && / -run / { pkg = ""; for (i = 1; i < NF; i++) { if ($$i ~ /^\.\//) pkg = $$i; if ($$i == "-run") pat = $$(i+1) } gsub("\047", "", pat); print pkg, pat }' Makefile | { \
+		fail=0; n=0; \
+		while read -r pkg pat; do \
+			for t in $$(echo "$$pat" | tr '|' ' '); do \
+				n=$$((n+1)); \
+				$(GO) test -list "$$t" "$$pkg" | grep -q '^Test' || { echo "smoke-lists: $$t selects no test in $$pkg"; fail=1; }; \
+			done; \
+		done; \
+		echo "smoke-lists: $$n pattern(s) checked"; exit $$fail; }
 
 # Fault-injection smoke: a small certified chaos campaign over every
 # target (substrates, hybrid, scheduler).
@@ -152,4 +167,4 @@ benchmark-smoke:
 bench:
 	bash benchmark/run.sh
 
-ci: test vet race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke
+ci: test vet smoke-lists race chaos-smoke crash-smoke obs-smoke serve-smoke shard-smoke repl-smoke failover-smoke mvcc-smoke seq-smoke ops-smoke examples-smoke benchmark-smoke

@@ -41,7 +41,7 @@ func main() {
 	batchInterval := flag.Duration("batch-interval", 0, "sequencer accumulation window under -seq (0 = adaptive group commit)")
 	seed := flag.Int64("seed", 1, "retry/chaos seed")
 	walDir := flag.String("wal-dir", "", "WAL directory (empty: in-memory durability only)")
-	sync := flag.String("sync", "record", "WAL sync policy: record | commit | group | none")
+	sync := flag.String("sync", "commit", "WAL sync policy: commit (one fsync per group-commit barrier, outside every lock) | record | group | none")
 	groupEvery := flag.Int("group-every", 32, "records per sync under -sync group")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently running transactions")
 	maxQueue := flag.Int("max-queue", 128, "max admission-queue depth (beyond it: StatusBusy)")

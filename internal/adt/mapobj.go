@@ -2,6 +2,7 @@ package adt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -123,6 +124,13 @@ func (Map) Apply(s spec.State, method string, args []int64) (spec.State, int64, 
 	default:
 		return nil, 0, false
 	}
+}
+
+// MapImage projects a Map spec state onto its bindings — the image
+// restart seeding restores.
+func MapImage(s spec.State) (map[int64]int64, bool) {
+	st, ok := s.(mapState)
+	return maps.Clone(st.kv), ok
 }
 
 // Invert implements spec.Inverter: exactly the two abort cases of

@@ -22,6 +22,7 @@ package adt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -120,6 +121,14 @@ func (Register) Apply(s spec.State, method string, args []int64) (spec.State, in
 	default:
 		return nil, 0, false
 	}
+}
+
+// RegisterImage projects a Register spec state onto every address ever
+// written (zero-valued writes included) — the image restart seeding
+// restores.
+func RegisterImage(s spec.State) (map[int64]int64, bool) {
+	st, ok := s.(regState)
+	return maps.Clone(st.mem), ok
 }
 
 // Invert implements spec.Inverter: a write is undone by writing back the

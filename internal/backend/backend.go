@@ -16,8 +16,9 @@
 package backend
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pushpull/internal/adt"
@@ -25,7 +26,6 @@ import (
 	"pushpull/internal/core"
 	"pushpull/internal/mvcc"
 	"pushpull/internal/ops"
-	"pushpull/internal/recovery"
 	"pushpull/internal/spec"
 	"pushpull/internal/stm/boost"
 	"pushpull/internal/stm/dep"
@@ -66,13 +66,14 @@ type Backend interface {
 	// the transaction — undo applied, locks released, shadow session
 	// rewound — and is returned as-is.
 	Atomic(name string, fn func(View) error) error
-	// Seed re-applies a recovered committed state as fresh certified
-	// transactions (the restart checkpoint), returning how many
-	// transactions it ran. prefix names the seeding transactions
-	// ("<prefix>-0", "<prefix>-1", ...); sharded engines pass a
-	// shard-qualified prefix so seed names stay globally unique for the
-	// merged commit-order check.
-	Seed(st recovery.State, prefix string) (int, error)
+	// Seed re-applies the certified state of a recovered prefix
+	// (recovery.Report.Certified) as fresh certified transactions (the
+	// restart checkpoint), returning how many transactions it ran.
+	// prefix names the seeding transactions ("<prefix>-0",
+	// "<prefix>-1", ...); sharded engines pass a shard-qualified prefix
+	// so seed names stay globally unique for the merged commit-order
+	// check.
+	Seed(c spec.Composite, prefix string) (int, error)
 	// Stats returns substrate commit/abort counters.
 	Stats() (commits, aborts uint64)
 	// Recorder is the certifying shadow machine (nil when certification
@@ -406,45 +407,12 @@ func (b *wordBackend) ReadKey(key uint64) (int64, bool) {
 	return b.read(int(key % uint64(b.keys))), true
 }
 
-// Seed replays the recovered register image in chunks: htmsim's
-// speculative capacity bounds one transaction's footprint, and smaller
-// transactions keep the certified checkpoint cheap everywhere.
-func (b *wordBackend) Seed(st recovery.State, prefix string) (int, error) {
-	words := foldRegister(st, "mem")
-	return b.seedWords(words, prefix)
-}
-
-func (b *wordBackend) seedWords(words map[int]int64, prefix string) (int, error) {
-	addrs := make([]int, 0, len(words))
-	for a := range words {
-		if a < 0 || a >= b.keys {
-			return 0, fmt.Errorf("backend: recovered address %d outside key range %d (restart with the original -keys)", a, b.keys)
-		}
-		addrs = append(addrs, a)
+func (b *wordBackend) Seed(c spec.Composite, prefix string) (int, error) {
+	list, _, err := seedImage(c, b.keys)
+	if err != nil {
+		return 0, err
 	}
-	sort.Ints(addrs)
-	const chunk = 16
-	txns := 0
-	for lo := 0; lo < len(addrs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
-		part := addrs[lo:hi]
-		err := b.atomic(fmt.Sprintf("%s-%d", prefix, txns), func(tx wordTx) error {
-			for _, a := range part {
-				if err := tx.Write(a, words[a]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return txns, fmt.Errorf("backend: seeding recovered state: %w", err)
-		}
-		txns++
-	}
-	return txns, nil
+	return seed(list, prefix, b.Atomic)
 }
 
 // ---- boosting ----
@@ -497,50 +465,12 @@ func (b *boostBackend) ReadKey(key uint64) (int64, bool) {
 	return b.ht.Base().Get(int64(key))
 }
 
-func (b *boostBackend) Seed(st recovery.State, prefix string) (int, error) {
-	txns, err := seedMap(st, "ht", prefix, func(name string, fn func(*boost.Txn) error) error {
-		return b.rt.Atomic(name, fn)
-	}, b.ht)
+func (b *boostBackend) Seed(c spec.Composite, prefix string) (int, error) {
+	list, _, err := seedImage(c, 0)
 	if err != nil {
-		return txns, err
+		return 0, err
 	}
-	more, err := seedTyped(st, prefix, txns, func(name string, fn func(*boost.Txn) error) error {
-		return b.rt.Atomic(name, fn)
-	}, b.typed)
-	return txns + more, err
-}
-
-// seedMap re-applies a recovered map image through boosted puts.
-func seedMap(st recovery.State, obj, prefix string,
-	atomic func(string, func(*boost.Txn) error) error, ht *boost.Map) (int, error) {
-	kv := foldMap(st, obj)
-	keys := make([]int64, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	const chunk = 16
-	txns := 0
-	for lo := 0; lo < len(keys); lo += chunk {
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		part := keys[lo:hi]
-		err := atomic(fmt.Sprintf("%s-%d", prefix, txns), func(tx *boost.Txn) error {
-			for _, k := range part {
-				if _, _, err := ht.Put(tx, k, kv[k]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return txns, fmt.Errorf("backend: seeding recovered state: %w", err)
-		}
-		txns++
-	}
-	return txns, nil
+	return seed(list, prefix, b.Atomic)
 }
 
 // ---- hybrid (Section 7: boosting + HTM sections) ----
@@ -626,188 +556,149 @@ func (b *hybridBackend) CheckInvariant() error {
 	return nil
 }
 
-// Seed restores the recovered map through boosted puts, then the HTM
-// counter word through one hybrid transaction — the counter survives
-// restart, so the commit tally is conserved across crashes.
-func (b *hybridBackend) Seed(st recovery.State, prefix string) (int, error) {
-	txns, err := seedMap(st, "ht", prefix, func(name string, fn func(*boost.Txn) error) error {
-		return b.b.Atomic(name, fn)
-	}, b.ht)
+// Seed restores the recovered image through the boosting runtime, then
+// the HTM counter word through one hybrid transaction — the counter
+// survives restart, so the commit tally is conserved across crashes.
+func (b *hybridBackend) Seed(c spec.Composite, prefix string) (int, error) {
+	list, ctr, err := seedImage(c, 0)
 	if err != nil {
+		return 0, err
+	}
+	txns, err := seed(list, prefix, func(name string, fn func(View) error) error {
+		return b.b.Atomic(name, func(tx *boost.Txn) error {
+			return fn(boostView{ht: b.ht, typed: b.typed, tx: tx})
+		})
+	})
+	if err != nil || ctr == 0 {
 		return txns, err
 	}
-	ctr := foldRegister(st, "htm")
-	if v, ok := ctr[0]; ok && v != 0 {
-		err := b.rt.Atomic(prefix+"-ctr", func(tx *hybrid.Tx) error {
-			tx.HTMSection(func(htx *htmsim.Tx) error {
-				if _, err := htx.Read(0); err != nil {
-					return err
-				}
-				return htx.Write(0, v)
-			})
-			return nil
+	err = b.rt.Atomic(prefix+"-ctr", func(tx *hybrid.Tx) error {
+		tx.HTMSection(func(htx *htmsim.Tx) error {
+			if _, err := htx.Read(0); err != nil {
+				return err
+			}
+			return htx.Write(0, ctr)
 		})
-		if err != nil {
-			return txns, fmt.Errorf("backend: seeding recovered counter: %w", err)
-		}
-		txns++
-		b.ctrBase = v
+		return nil
+	})
+	if err != nil {
+		return txns, fmt.Errorf("backend: seeding recovered counter: %w", err)
 	}
-	more, err := seedTyped(st, prefix, txns, func(name string, fn func(*boost.Txn) error) error {
-		return b.b.Atomic(name, fn)
-	}, b.typed)
-	return txns + more, err
+	b.ctrBase = ctr
+	return txns + 1, nil
 }
 
-// seedOp is one typed operation of the recovery checkpoint.
-type seedOp struct {
-	code ops.Code
-	key  uint64
-	a, b int64
+// ---- restart seeding from a certified state ----
+
+// FoldKV projects a certified recovered state onto the service's KV
+// surface — what a client must be able to read back after restart: the
+// register image of "mem" on word substrates (addresses are the key
+// space modulo Keys), the map image of "ht" on boosting-based ones.
+func FoldKV(c spec.Composite) map[uint64]int64 {
+	var img map[int64]int64
+	if s, ok := c.StateOf("mem"); ok {
+		img, _ = adt.RegisterImage(s)
+	} else if s, ok := c.StateOf("ht"); ok {
+		img, _ = adt.MapImage(s)
+	}
+	out := make(map[uint64]int64, len(img))
+	for k, v := range img {
+		out[uint64(k)] = v
+	}
+	return out
 }
 
-// seedTyped re-applies the recovered typed keyspace as fresh certified
-// typed transactions. Every cell is rebuilt through the operations
+// CheckSeed reports whether a certified state can seed a backend of
+// keys registers — the refusal Seed would hit, checked before anything
+// on disk moves.
+func CheckSeed(c spec.Composite, keys int) error {
+	_, _, err := seedImage(c, keys)
+	return err
+}
+
+// seedImage reads the restart image out of a certified state: the KV
+// image as puts, then every typed cell rebuilt through the operations
 // that define it — counters by one add, sets by one sadd per member,
-// queues by pushes in order — and empty-but-present cells (whose
-// sticky kind must survive) by a do-undo pair (sadd+srem, qpush+qpop),
-// so the runtime state, the shadow machine, and the MVCC fold all
-// agree with the pre-crash spec state.
-func seedTyped(st recovery.State, prefix string, startTxn int,
-	atomic func(string, func(*boost.Txn) error) error, typed *boost.Typed) (int, error) {
-	cells := foldTyped(st)
-	var list []seedOp
-	ctrKeys := sortedKeys(cells.Counters)
-	for _, k := range ctrKeys {
-		list = append(list, seedOp{code: ops.Add, key: uint64(k), a: cells.Counters[k]})
+// queues by pushes in order, and empty-but-present cells (whose sticky
+// kind must survive) by a do-undo pair (sadd+srem, qpush+qpop) — so the
+// runtime state, the shadow machine and the MVCC fold all agree with
+// the pre-crash spec state. ctr is hybrid's HTM counter word. A
+// register address outside [0, keys) is refused: the image was written
+// under a larger key range.
+func seedImage(c spec.Composite, keys int) (list []ops.Op, ctr int64, err error) {
+	kv := FoldKV(c)
+	_, word := c.StateOf("mem")
+	for _, k := range sortedKeys(kv) {
+		if word && k >= uint64(keys) {
+			return nil, 0, fmt.Errorf("backend: recovered address %d outside key range %d (restart with the original -keys)", k, keys)
+		}
+		list = append(list, ops.Op{Kind: ops.Put, Key: k, Val: kv[k]})
 	}
-	for _, k := range sortedKeys(cells.Sets) {
-		ms := cells.Sets[k]
-		if len(ms) == 0 {
-			list = append(list, seedOp{code: ops.SAdd, key: uint64(k)}, seedOp{code: ops.SRem, key: uint64(k)})
-			continue
+	if s, ok := c.StateOf(ops.Obj); ok {
+		cells, _ := adt.FoldTypedKV(s)
+		for _, k := range sortedKeys(cells.Counters) {
+			list = append(list, ops.Op{Kind: ops.Add, Key: uint64(k), Val: cells.Counters[k]})
 		}
-		for _, m := range ms {
-			list = append(list, seedOp{code: ops.SAdd, key: uint64(k), a: m})
+		for _, k := range sortedKeys(cells.Sets) {
+			if len(cells.Sets[k]) == 0 {
+				list = append(list, ops.Op{Kind: ops.SAdd, Key: uint64(k)}, ops.Op{Kind: ops.SRem, Key: uint64(k)})
+			}
+			for _, m := range cells.Sets[k] {
+				list = append(list, ops.Op{Kind: ops.SAdd, Key: uint64(k), Val: m})
+			}
+		}
+		for _, k := range sortedKeys(cells.Queues) {
+			if len(cells.Queues[k]) == 0 {
+				list = append(list, ops.Op{Kind: ops.QPush, Key: uint64(k)}, ops.Op{Kind: ops.QPop, Key: uint64(k)})
+			}
+			for _, v := range cells.Queues[k] {
+				list = append(list, ops.Op{Kind: ops.QPush, Key: uint64(k), Val: v})
+			}
 		}
 	}
-	for _, k := range sortedKeys(cells.Queues) {
-		q := cells.Queues[k]
-		if len(q) == 0 {
-			list = append(list, seedOp{code: ops.QPush, key: uint64(k)}, seedOp{code: ops.QPop, key: uint64(k)})
-			continue
-		}
-		for _, v := range q {
-			list = append(list, seedOp{code: ops.QPush, key: uint64(k), a: v})
-		}
+	if s, ok := c.StateOf("htm"); ok {
+		words, _ := adt.RegisterImage(s)
+		ctr = words[0]
 	}
+	return list, ctr, nil
+}
+
+// seed runs list as fresh certified transactions of at most 16 ops,
+// named prefix-0, prefix-1, ...: htmsim's speculative capacity bounds
+// one transaction's footprint, and smaller transactions keep the
+// certified checkpoint cheap everywhere.
+func seed(list []ops.Op, prefix string, atomic func(name string, fn func(View) error) error) (int, error) {
 	const chunk = 16
 	txns := 0
 	for lo := 0; lo < len(list); lo += chunk {
-		hi := lo + chunk
-		if hi > len(list) {
-			hi = len(list)
-		}
-		part := list[lo:hi]
-		err := atomic(fmt.Sprintf("%s-%d", prefix, startTxn+txns), func(tx *boost.Txn) error {
+		part := list[lo:min(lo+chunk, len(list))]
+		err := atomic(fmt.Sprintf("%s-%d", prefix, txns), func(v View) error {
 			for _, op := range part {
-				if _, _, err := typed.Do(tx, op.code, op.key, op.a, op.b); err != nil {
+				var err error
+				if op.Kind == ops.Put {
+					err = v.Put(op.Key, op.Val)
+				} else {
+					_, _, err = v.(TypedView).Typed(op.Kind, op.Key, op.Val, op.Arg)
+				}
+				if err != nil {
 					return err
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			return txns, fmt.Errorf("backend: seeding recovered typed state: %w", err)
+			return txns, fmt.Errorf("backend: seeding recovered state: %w", err)
 		}
 		txns++
 	}
 	return txns, nil
 }
 
-func sortedKeys[V any](m map[int64]V) []int64 {
-	keys := make([]int64, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
-}
-
-// foldTyped replays a recovered state's "ops" operations through the
-// TypedKV spec into the final cell image.
-func foldTyped(st recovery.State) adt.TypedCells {
-	obj := adt.TypedKV{}
-	s := obj.Init()
-	for _, t := range st.Txns {
-		for _, op := range t.Ops {
-			if op.Obj != ops.Obj {
-				continue
-			}
-			if next, _, ok := obj.Apply(s, op.Method, op.Args); ok {
-				s = next
-			}
-		}
-	}
-	cells, _ := adt.FoldTypedKV(s)
-	return cells
-}
-
-// ---- recovered-state folds ----
-
-// foldRegister folds a recovered state's writes to one register object
-// into its final address→value image. Reads are no-ops; State.Txns is
-// already in commit-stamp order, so the last write wins correctly.
-func foldRegister(st recovery.State, obj string) map[int]int64 {
-	out := make(map[int]int64)
-	for _, t := range st.Txns {
-		for _, op := range t.Ops {
-			if op.Obj != obj || op.Method != adt.MWrite || len(op.Args) < 2 {
-				continue
-			}
-			out[int(op.Args[0])] = op.Args[1]
-		}
-	}
-	return out
-}
-
-// foldMap folds a recovered state's put/remove stream on one map
-// object into its final key→value image.
-func foldMap(st recovery.State, obj string) map[int64]int64 {
-	out := make(map[int64]int64)
-	for _, t := range st.Txns {
-		for _, op := range t.Ops {
-			if op.Obj != obj || len(op.Args) < 1 {
-				continue
-			}
-			switch op.Method {
-			case adt.MMapPut:
-				if len(op.Args) >= 2 {
-					out[op.Args[0]] = op.Args[1]
-				}
-			case adt.MMapRemove:
-				delete(out, op.Args[0])
-			}
-		}
-	}
-	return out
-}
-
-// FoldKV projects a recovered state onto the service's KV surface for
-// the given substrate — what a client must be able to read back after
-// restart. Word substrates fold the register image (addresses are the
-// key space modulo Keys); boosting-based substrates fold the map.
-func FoldKV(st recovery.State, substrate string) map[uint64]int64 {
-	out := make(map[uint64]int64)
-	switch substrate {
-	case "boost", "hybrid":
-		for k, v := range foldMap(st, "ht") {
-			out[uint64(k)] = v
-		}
-	default:
-		for a, v := range foldRegister(st, "mem") {
-			out[uint64(a)] = v
-		}
-	}
-	return out
 }

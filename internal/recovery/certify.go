@@ -4,53 +4,54 @@ import (
 	"fmt"
 
 	"pushpull/internal/spec"
-	"pushpull/internal/trace"
 )
 
-// Certify replays the recovered committed prefix, in commit-stamp
-// order, through a fresh shadow Push/Pull machine over the given
-// registry and demands a full certificate: every operation's recorded
-// return value must match the sequential specification, every rule
-// criterion must hold, the final window must be commit-order
-// serializable, and the machine invariants must pass.
-//
-// This works because the recovered state is a committed *prefix* of
-// the original run's commit order: CMT criterion (iii) forces a
-// transaction's dependencies to commit first, so stamp order respects
-// dependency order and commit-order serializability is closed under
-// taking prefixes. A prefix that fails certification therefore means
-// the durable image does not correspond to any reachable machine
-// history — corruption or a durability bug, which is exactly what the
-// caller wants surfaced. The recorder folds after every transaction,
-// so the replay is linear in the prefix length.
+// Certify folds the recovered prefix, in commit-stamp order, from the
+// registry's initial state through spec.Registry.ApplyOp: every op must
+// be defined where it lands and return what its record says. The log is
+// already sequential, so this is Theorem 5.17's certificate for it, and
+// a machine replay checks nothing more — one thread at a time, folded
+// after every commit, PUSH (ii) never meets a foreign uncommitted op,
+// PUSH (i)/(iii) and CMT (ii)/(iii) follow from in-order pushes APP
+// allowed, and the commit-order check compares the log with itself.
+// The prefix property (CMT (iii) commits dependencies first) means a
+// failure is corruption or a durability bug; the error names the
+// transaction, its stamp, the op and what the specification expected.
 func Certify(s State, reg *spec.Registry) error {
-	rec := trace.NewRecorder(reg)
+	_, err := certify(s, reg)
+	return err
+}
+
+// certify is Certify's fold, returning the certified state.
+func certify(s State, reg *spec.Registry) (spec.Composite, error) {
+	c := reg.InitState()
 	for _, t := range s.Txns {
-		ops := make([]trace.OpRecord, len(t.Ops))
-		for i, op := range t.Ops {
-			ops[i] = trace.OpRecord{Obj: op.Obj, Method: op.Method, Args: op.Args, Ret: op.Ret}
-		}
-		if !rec.AtomicTxn(t.Name, ops) {
-			return fmt.Errorf("recovery: replay of txn %q (stamp %d) failed certification: %w",
-				t.Name, t.Stamp, rec.Err())
+		for _, op := range t.Ops {
+			next, ok := reg.ApplyOp(c, op)
+			if !ok {
+				want := "the specification leaves it undefined"
+				if ret, ok := reg.EvalFrom(c, nil, op.Obj, op.Method, op.Args); ok {
+					want = fmt.Sprintf("the specification returns %d", ret)
+				}
+				return spec.Composite{}, fmt.Errorf("recovery: txn %q (stamp %d) fails certification at %s: %s",
+					t.Name, t.Stamp, op, want)
+			}
+			c = next
 		}
 	}
-	if err := rec.FinalCheck(); err != nil {
-		return fmt.Errorf("recovery: %w", err)
-	}
-	return nil
+	return c, nil
 }
 
 // RecoverAndCertify is the end-to-end path: replay the durable images,
-// reject anomalous replays, certify the result. The returned Report is
-// valid even on error.
+// reject anomalous replays, certify the result and carry the certified
+// state on Report.Certified. The returned Report is valid even on
+// error.
 func RecoverAndCertify(segs [][]byte, reg *spec.Registry) (Report, error) {
 	rep := Recover(segs)
 	if !rep.Ok() {
 		return rep, fmt.Errorf("recovery: replay anomalies: %v", rep.Anomalies)
 	}
-	if err := Certify(rep.State, reg); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	var err error
+	rep.Certified, err = certify(rep.State, reg)
+	return rep, err
 }

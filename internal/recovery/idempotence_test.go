@@ -47,3 +47,21 @@ func TestReplayIdempotenceAcrossSubstrates(t *testing.T) {
 		}
 	}
 }
+
+// TestCertifyMatchesMachineOnCrashImages: on the durable image of every
+// crash-sweep target at seeds 1–10, the fold and the machine replay
+// reach the same verdict.
+func TestCertifyMatchesMachineOnCrashImages(t *testing.T) {
+	p := bench.ChaosParams{Threads: 4, OpsEach: 12}
+	for _, target := range bench.CrashTargets() {
+		for seed := int64(1); seed <= 10; seed++ {
+			o := bench.RunCrashOne(target, seed, p)
+			st := recovery.Recover(o.Segments).State
+			reg := bench.CertRegistryFor(target)
+			fold, machine := recovery.Certify(st, reg), recovery.CertifyByMachine(st, reg)
+			if (fold == nil) != (machine == nil) {
+				t.Fatalf("%s/seed%d: verdicts differ\nfold:    %v\nmachine: %v", target, seed, fold, machine)
+			}
+		}
+	}
+}

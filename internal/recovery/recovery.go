@@ -1,5 +1,7 @@
 // Package recovery reconstructs the Push/Pull global log from a
-// write-ahead-log prefix and certifies the result.
+// write-ahead-log prefix and certifies the result by folding it through
+// the sequential specification (certify.go); the certified state is
+// what a restart seeds from.
 //
 // The WAL records the three global-log transitions (PUSH, UNPUSH, CMT)
 // plus whole-transaction abort marks; everything else in the model —
@@ -78,6 +80,10 @@ type SessionEntry struct {
 // Report is the outcome of a replay.
 type Report struct {
 	State State
+	// Certified is State's denotation under the registry
+	// RecoverAndCertify checked it against — the state a restart seeds
+	// from. Zero unless the report came out of RecoverAndCertify.
+	Certified spec.Composite
 	// SegmentsRead counts segments whose header validated and whose
 	// body contributed records.
 	SegmentsRead int

@@ -91,7 +91,7 @@ func TestReplayIdempotence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := backend.FoldKV(rep.State, sub)
+			want := backend.FoldKV(rep.Certified)
 
 			for _, r := range []*repl.Replica{clean, duped} {
 				if err := r.Poisoned(); err != nil {

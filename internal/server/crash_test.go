@@ -87,7 +87,7 @@ func TestServerCrashRestart(t *testing.T) {
 				t.Fatal("recovered state was not re-seeded")
 			}
 			// The recovered fold must cover every acknowledged-durable key.
-			fold := backend.FoldKV(rep.Shards[0].State, sub)
+			fold := backend.FoldKV(rep.Shards[0].Certified)
 			for k, v := range durable {
 				if got, ok := fold[k]; !ok || got != v {
 					t.Fatalf("recovered image: key %d = (%d, %v), want (%d, true)", k, got, ok, v)

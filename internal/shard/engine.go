@@ -187,13 +187,14 @@ type Engine struct {
 	rollErr error // first roll-forward failure (fatal for certification)
 }
 
-// New builds the engine: multi-log recover-and-certify first (refusing
-// a durable image that does not resolve and re-certify), then one
-// backend per shard wired to its own WAL segment stream, trace
-// recorder site, metrics label, and chaos plan, plus the coordinator
-// log; finally the recovered state is re-applied shard by shard and
-// every resolved in-doubt branch is rolled forward.
-func New(opts Options) (*Engine, error) {
+// New builds the engine: multi-log recover-and-certify first, then every
+// other refusal (key range, serving epoch), and only then is the old
+// image archived. Then one backend per shard wired to its own WAL
+// segment stream, trace recorder site, metrics label, and chaos plan,
+// plus the coordinator log; finally each shard's certified state is
+// re-applied and every resolved in-doubt branch is rolled forward. A
+// failure after archiving restores the old image.
+func New(opts Options) (_ *Engine, err error) {
 	opts = opts.withDefaults()
 	if opts.DisableCert && (opts.WALDir != "" || opts.Durable) {
 		return nil, errors.New("shard: a WAL needs certification: the log is written by the certifying recorder, so an uncertified engine would acknowledge commits into an empty log")
@@ -224,7 +225,6 @@ func New(opts Options) (*Engine, error) {
 	img := opts.RecoverFrom
 	if img == nil && opts.WALDir != "" {
 		var found int
-		var err error
 		img, found, err = ReadImageDir(opts.WALDir)
 		if err != nil {
 			return nil, err
@@ -245,18 +245,50 @@ func New(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: refusing to serve: %w", err)
 		}
+		for i, sr := range rep.Shards {
+			if err := backend.CheckSeed(sr.Certified, opts.Keys); err != nil {
+				return nil, fmt.Errorf("shard %d: refusing to serve: %w", i, err)
+			}
+		}
 		e.recovered = rep
 	}
 
+	// The serving epoch branded into the coordinator log: a recovered
+	// image's epoch must never be reused or regressed — promotions pass
+	// predecessor+1.
 	durable := opts.WALDir != "" || opts.Durable
+	if durable {
+		e.epoch = opts.Epoch
+		if e.epoch == 0 && opts.Ship != nil {
+			e.epoch = 1
+		}
+		if prev := e.recovered.Epoch; e.epoch > 0 && prev >= e.epoch {
+			return nil, fmt.Errorf("shard: serving epoch %d does not exceed the recovered image's epoch %d",
+				e.epoch, prev)
+		}
+	}
+
+	// Every refusal above runs before the old image is archived; a
+	// failure past this point puts it back, so the next boot recovers
+	// the original image rather than a half-seeded fresh one.
 	if opts.WALDir != "" {
-		if err := archiveImageDir(opts.WALDir); err != nil {
+		var archived string
+		if archived, err = archiveImageDir(opts.WALDir); err != nil {
 			return nil, err
 		}
+		defer func() {
+			if err != nil {
+				e.Close()
+				if uerr := unarchiveImageDir(opts.WALDir, archived); uerr != nil {
+					err = fmt.Errorf("%w; restoring the archived image: %v", err, uerr)
+				}
+			}
+		}()
 	}
 
 	for i := 0; i < opts.Shards; i++ {
 		st := &shardState{id: i, label: strconv.Itoa(i)}
+		e.shards = append(e.shards, st) // before its log opens: a failed boot's Close must reach it
 		var inj *chaos.Faults
 		if opts.Plan != nil {
 			p := opts.Plan.ForShard(i, opts.Shards)
@@ -339,7 +371,6 @@ func New(opts Options) (*Engine, error) {
 		if store := be.Snapshots(); store != nil {
 			store.SetObserver(suite.Metrics)
 		}
-		e.shards = append(e.shards, st)
 	}
 
 	if durable {
@@ -357,16 +388,7 @@ func New(opts Options) (*Engine, error) {
 			coord.SetOnDurable(func(off int, data []byte) { opts.Ship(stream, 0, off, data) })
 		}
 		// Brand the serving epoch into the log so it ships with the
-		// stream and survives restart. A recovered image's epoch must
-		// never be reused or regressed — promotions pass predecessor+1.
-		e.epoch = opts.Epoch
-		if e.epoch == 0 && opts.Ship != nil {
-			e.epoch = 1
-		}
-		if prev := e.recovered.Epoch; e.epoch > 0 && prev >= e.epoch {
-			return nil, fmt.Errorf("shard: serving epoch %d does not exceed the recovered image's epoch %d",
-				e.epoch, prev)
-		}
+		// stream and survives restart.
 		if e.epoch > 0 {
 			if err := coord.AppendEpoch(e.epoch); err != nil {
 				return nil, fmt.Errorf("shard: branding epoch: %w", err)
@@ -374,13 +396,10 @@ func New(opts Options) (*Engine, error) {
 		}
 	}
 
-	// Re-apply the recovered image as fresh certified (and re-logged)
-	// transactions, then roll forward every resolved branch.
+	// Re-apply each shard's certified state as fresh certified (and
+	// re-logged) transactions, then roll forward every resolved branch.
 	for i, rep := range e.recovered.Shards {
-		if len(rep.State.Txns) == 0 {
-			continue
-		}
-		n, err := e.shards[i].be.Seed(rep.State, fmt.Sprintf("recover-s%d", i))
+		n, err := e.shards[i].be.Seed(rep.Certified, fmt.Sprintf("recover-s%d", i))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -388,3 +388,53 @@ func TestUncertifiedWALRefused(t *testing.T) {
 		t.Fatalf("uncertified engine booted with %+v; acked put 9=99 reads %d after restart", opts, v)
 	}
 }
+
+// TestRefusedBootKeepsImage: a boot refused after recovery — by the
+// key-range check, the serving-epoch check, or a seeding failure after
+// the old image was archived — leaves that image where the next boot
+// finds it, so following the refusal's advice loses no acked write.
+func TestRefusedBootKeepsImage(t *testing.T) {
+	failSeed := chaos.NewPlan(1).WithRate(chaos.SiteTL2Commit, 1)
+	for _, tc := range []struct {
+		name                  string
+		first, refused, retry Options
+	}{
+		{"keys", Options{Keys: 64}, Options{Keys: 8}, Options{Keys: 64}},
+		{"epoch", Options{Keys: 64, Epoch: 5}, Options{Keys: 64, Epoch: 3}, Options{Keys: 64, Epoch: 6}},
+		{"seed", Options{Keys: 64}, Options{Keys: 64, Plan: &failSeed}, Options{Keys: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			boot := func(o Options) (*Engine, error) {
+				o.WALDir = dir
+				return New(o)
+			}
+			e, err := boot(tc.first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.Do([]Op{{Kind: OpPut, Key: 40, Val: 77}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := boot(tc.refused); err == nil {
+				t.Fatal("boot not refused")
+			} else {
+				t.Logf("refused: %v", err)
+			}
+			e, err = boot(tc.retry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Recovered().RecoveredTxns(); n == 0 {
+				t.Fatal("retried boot recovered 0 transactions")
+			}
+			if v, _ := e.ReadKey(40); v != 77 {
+				t.Fatalf("key 40 reads %d after the retried boot, want 77", v)
+			}
+			finishEngine(t, e)
+		})
+	}
+}

@@ -281,29 +281,51 @@ func ReadImageDir(dir string) (*Image, int, error) {
 	return img, found, nil
 }
 
-// archiveImageDir moves the previous epoch's WAL segments (flat and
-// shard-NN/ alike) and coordinator log into the next free epoch-NNN
-// subdirectory, freeing the namespace for fresh logs while preserving
-// the pre-crash image — and leaving nothing a later boot could
-// half-read as a mixed image.
-func archiveImageDir(dir string) error {
+// imageFiles lists the durable image's files under dir: WAL segments
+// (flat and shard-NN/ alike) and the coordinator log.
+func imageFiles(dir string) ([]string, error) {
+	var files []string
+	for _, pat := range []string{"wal-*.seg", filepath.Join("shard-*", "wal-*.seg"), coordLogName} {
+		m, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, m...)
+	}
+	return files, nil
+}
+
+// moveFiles renames each of files from under src to the same relative
+// path under dst.
+func moveFiles(files []string, src, dst string) error {
+	for _, m := range files {
+		rel, err := filepath.Rel(src, m)
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+			return err
+		}
+		if err := os.Rename(m, to); err != nil {
+			return fmt.Errorf("shard: moving %s: %w", m, err)
+		}
+	}
+	return nil
+}
+
+// archiveImageDir moves the previous epoch's image files into the next
+// free epoch-NNN subdirectory, freeing the namespace for fresh logs
+// while preserving the pre-crash image — and leaving nothing a later
+// boot could half-read as a mixed image. It returns the archive ("" when
+// there was nothing to move).
+func archiveImageDir(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: creating WAL dir: %w", err)
+		return "", fmt.Errorf("shard: creating WAL dir: %w", err)
 	}
-	toMove, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
-		return err
-	}
-	nested, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
-	if err != nil {
-		return err
-	}
-	toMove = append(toMove, nested...)
-	if coordPath := filepath.Join(dir, coordLogName); fileExists(coordPath) {
-		toMove = append(toMove, coordPath)
-	}
-	if len(toMove) == 0 {
-		return nil
+	files, err := imageFiles(dir)
+	if err != nil || len(files) == 0 {
+		return "", err
 	}
 	var epoch string
 	for n := 1; ; n++ {
@@ -312,20 +334,33 @@ func archiveImageDir(dir string) error {
 			break
 		}
 	}
-	for _, m := range toMove {
-		rel, err := filepath.Rel(dir, m)
-		if err != nil {
+	return epoch, moveFiles(files, dir, epoch)
+}
+
+// unarchiveImageDir undoes archiveImageDir after a boot that failed past
+// it: the fresh logs that boot wrote are removed and the archived image
+// moves back, so the next boot recovers the original.
+func unarchiveImageDir(dir, epoch string) error {
+	fresh, err := imageFiles(dir)
+	if err != nil {
+		return err
+	}
+	for _, f := range fresh {
+		if err := os.Remove(f); err != nil {
 			return err
-		}
-		dst := filepath.Join(epoch, rel)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return err
-		}
-		if err := os.Rename(m, dst); err != nil {
-			return fmt.Errorf("shard: archiving %s: %w", m, err)
 		}
 	}
-	return nil
+	if epoch == "" {
+		return nil
+	}
+	archived, err := imageFiles(epoch)
+	if err != nil {
+		return err
+	}
+	if err := moveFiles(archived, epoch, dir); err != nil {
+		return err
+	}
+	return os.RemoveAll(epoch)
 }
 
 func fileExists(path string) bool {
