@@ -120,11 +120,14 @@ repl: failover
 # MVCC snapshot-read smoke: a replicated sharded primary + follower
 # under a 90%-read-only skewed wire campaign (the read-only class must
 # show zero aborts while writers churn), follower snapshot reads from
-# the replica's pinned cut, the GSN-consistent-cut torn-read hammer,
-# and a certified shutdown.
+# the replica's pinned cut, the read-only write refusal on both roles,
+# counter reads and the client key range, the GSN-consistent-cut
+# torn-read hammer, the primary's and follower's folds agreeing on
+# every substrate, and a certified shutdown.
 mvcc-smoke:
-	$(GO) test ./internal/server/ -run TestMVCCSmoke -v
-	$(GO) test ./internal/shard/ -run 'TestSnapshotCutNeverTorn|TestDoReadOnlyRejectsWrites' -v
+	$(GO) test ./internal/server/ -run 'TestMVCCSmoke|TestReadOnlyRejectsWrites|TestCGetFromSnapshotAnyKeys|TestKeyTopBitRefused' -v
+	$(GO) test ./internal/shard/ -run TestSnapshotCutNeverTorn -v
+	$(GO) test ./internal/repl/ -run TestPrimaryAndFollowerFoldsAgree -v
 
 # Deterministic ordered-commit smoke: the sequenced cross-shard path's
 # own certificates — per-shard cross-commit order equals the GSN order,

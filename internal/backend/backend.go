@@ -87,15 +87,12 @@ type Backend interface {
 	// ReadKey reads one key non-transactionally — quiescent test
 	// verification only.
 	ReadKey(key uint64) (int64, bool)
-	// Snapshots returns the multi-version store fed from this backend's
-	// certified commit stream — the substrate for read-only snapshot
-	// transactions. Nil when certification is disabled (no recorder
-	// means no committed-log fold to serve from).
+	// Snapshots returns the multi-version store (with its read
+	// certifier) fed from this backend's certified commit stream — the
+	// substrate for read-only snapshot transactions. Nil when
+	// certification is disabled (no recorder means no committed-log
+	// fold to serve from).
 	Snapshots() *mvcc.Store
-	// SnapshotCert returns the read-only transaction certifier, an
-	// independent fold of the same commit stream. Nil when
-	// certification is disabled.
-	SnapshotCert() *mvcc.Shadow
 	// TypedState serializes the committed typed keyspace in the
 	// canonical adt.TypedKV format — quiescent verification against a
 	// spec-side replay (empty string on substrates without typed
@@ -103,28 +100,23 @@ type Backend interface {
 	TypedState() string
 }
 
-// mvccState carries the version store and its certifier; every
-// concrete backend embeds it so the MVCC seam is uniform across
-// substrates.
+// mvccState carries the version store; every concrete backend embeds
+// it so the MVCC seam is uniform across substrates.
 type mvccState struct {
-	mv     *mvcc.Store
-	mvCert *mvcc.Shadow
+	mv *mvcc.Store
 }
 
-func (m *mvccState) Snapshots() *mvcc.Store     { return m.mv }
-func (m *mvccState) SnapshotCert() *mvcc.Shadow { return m.mvCert }
+func (m *mvccState) Snapshots() *mvcc.Store { return m.mv }
 
-// attachMVCC builds the version store + certifier pair and subscribes
-// their applier to the certifying recorder's event stream. The store
-// is then a second fold of exactly the log the WAL and metrics see.
+// attachMVCC builds the version store and subscribes its applier to
+// the certifying recorder's event stream. The store is then a second
+// fold of exactly the log the WAL and metrics see.
 func (m *mvccState) attachMVCC(substrate string, keys int, rec *trace.Recorder) {
 	if rec == nil {
 		return
 	}
-	mode := mvcc.ModeFor(substrate)
-	m.mv = mvcc.NewStore(mode, keys)
-	m.mvCert = mvcc.NewShadow(mode, keys)
-	rec.AttachSink(mvcc.NewApplier(mode, m.mv, m.mvCert))
+	m.mv = mvcc.NewStore(mvcc.ModeFor(substrate), keys)
+	rec.AttachSink(mvcc.NewApplier(m.mv))
 }
 
 // Config configures a backend.
@@ -171,15 +163,6 @@ func RegistryFor(substrate string) (*spec.Registry, error) {
 // Substrates lists the accepted backend names.
 func Substrates() []string {
 	return []string{"tl2", "pess", "boost", "htmsim", "dep", "hybrid"}
-}
-
-// TypedNative reports whether the substrate executes typed operations
-// on boosted ADT cells (certified as ops.Obj methods, folded into the
-// version store under the ops.KeyBit namespace). Word-family
-// substrates instead emulate typed counters on the plain register
-// array, so their committed state folds at the bare key.
-func TypedNative(substrate string) bool {
-	return substrate == "boost" || substrate == "hybrid"
 }
 
 // mvccAttacher is satisfied by every concrete backend through the

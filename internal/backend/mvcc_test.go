@@ -32,38 +32,20 @@ func TestSnapshotStoreFollowsCommits(t *testing.T) {
 					t.Fatalf("txn %d: %v", i, err)
 				}
 			}
-			if st.Watermark() == 0 {
+			if st.StoreStats().Watermark == 0 {
 				t.Fatal("watermark did not advance: CMT events not reaching the applier")
 			}
-			snap := st.Snapshot()
-			defer snap.Close()
-			var reads []struct {
-				k     uint64
-				v     int64
-				found bool
-			}
+			cut := mvcc.Pin([]*mvcc.Store{st}, func(uint64) int { return 0 })
+			defer cut.Close()
 			for k := uint64(0); k < 8; k++ {
-				got, found := snap.Get(k)
+				got, found := cut.Get(k)
 				want, wantFound := be.ReadKey(k)
 				if found != wantFound || got != want {
 					t.Errorf("key %d: snapshot (%d,%v), substrate (%d,%v)", k, got, found, want, wantFound)
 				}
-				reads = append(reads, struct {
-					k     uint64
-					v     int64
-					found bool
-				}{k, got, found})
 			}
 			// The independent certifier must agree with the store fold.
-			cert := be.SnapshotCert()
-			if cert == nil {
-				t.Fatal("certified backend has no snapshot certifier")
-			}
-			obs := make([]mvcc.ReadObs, 0, len(reads))
-			for _, r := range reads {
-				obs = append(obs, mvcc.ReadObs{Key: r.k, Val: r.v, Found: r.found})
-			}
-			if err := cert.Certify(snap.Watermark(), obs); err != nil {
+			if err := cut.Certify(); err != nil {
 				t.Fatalf("certify: %v", err)
 			}
 		})
@@ -79,7 +61,7 @@ func TestDisableCertHasNoStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Snapshots() != nil || be.SnapshotCert() != nil {
+	if be.Snapshots() != nil {
 		t.Fatal("uncertified backend must not expose a snapshot store")
 	}
 }

@@ -53,13 +53,17 @@ type ResultJSON struct {
 	Found bool  `json:"found"`
 }
 
-// WireOps converts the JSON form to wire ops, validating op names.
+// WireOps converts the JSON form to wire ops, validating op names and
+// key ranges.
 func (r TxnRequestJSON) WireOps() ([]Op, error) {
 	out := make([]Op, 0, len(r.Ops))
 	for i, o := range r.Ops {
 		d, ok := ops.ByName(o.Op)
 		if !ok {
 			return nil, fmt.Errorf("kvapi: op %d: unknown op %q (want get|put|incr|cget|wd|cas|sadd|srem|scont|qpush|qpop)", i, o.Op)
+		}
+		if err := checkKey(o.Key); err != nil {
+			return nil, fmt.Errorf("kvapi: op %d: %w", i, err)
 		}
 		out = append(out, Op{Kind: d.Code, Key: o.Key, Val: o.Val, Arg: o.Arg})
 	}

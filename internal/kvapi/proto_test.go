@@ -137,3 +137,25 @@ func TestJSONOps(t *testing.T) {
 		t.Fatal("unknown JSON op accepted")
 	}
 }
+
+// TestKeyRange: keys stop at 2^63-1 in every request shape that names
+// one, binary and JSON alike; the largest key still decodes.
+func TestKeyRange(t *testing.T) {
+	const top = uint64(1) << 63
+	for _, r := range []Request{
+		{Type: MsgTxn, Ops: []Op{{Kind: OpGet, Key: 1}, {Kind: OpPut, Key: top | 5, Val: 99}}},
+		{Type: MsgTxn, Ops: []Op{{Kind: OpCGet, Key: top}}},
+		{Type: MsgGet, Key: top | 5},
+		{Type: MsgPut, Key: ^uint64(0), Val: 1},
+	} {
+		if _, err := DecodeRequest(AppendRequest(nil, r)); err == nil {
+			t.Fatalf("request %+v with a key >= 2^63 decoded", r)
+		}
+	}
+	if _, err := DecodeRequest(AppendRequest(nil, Request{Type: MsgPut, Key: top - 1, Val: 1})); err != nil {
+		t.Fatalf("key 2^63-1 refused: %v", err)
+	}
+	if _, err := (TxnRequestJSON{Ops: []OpJSON{{Op: "put", Key: top | 5, Val: 99}}}).WireOps(); err == nil {
+		t.Fatal("JSON op with a key >= 2^63 accepted")
+	}
+}

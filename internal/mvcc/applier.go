@@ -9,142 +9,92 @@ import (
 	"pushpull/internal/spec"
 )
 
-// Applier folds the shadow machine's event stream into a Store and a
-// Shadow certifier. It is a core.EventSink attached next to the
-// metrics suite on the certifying recorder: PUSH buffers a
-// transaction's write operations, UNPUSH retracts them (substrate
-// rollback), CMT applies the buffered write-set at the machine's
-// commit stamp, ABORT discards it. Because the recorder mutex
-// serializes dispatch, commits arrive here in true commit order and
-// the stamps are strictly monotonic — the version store inherits the
-// WAL's serialization-witness property for free.
+// Applier feeds the shadow machine's event stream into a Store. It is
+// a core.EventSink attached next to the metrics suite on the
+// certifying recorder: PUSH buffers a transaction's operations, UNPUSH
+// retracts one (substrate rollback), CMT hands the buffer to
+// Store.Commit at the machine's commit stamp, ABORT discards it.
+// Because the recorder mutex serializes dispatch, commits arrive here
+// in true commit order and the stamps are strictly monotonic — the
+// version store inherits the WAL's serialization-witness property for
+// free.
 type Applier struct {
-	mode Mode
-	st   *Store
-	sh   *Shadow
+	st *Store
 
 	mu      sync.Mutex
-	pending map[uint64][]pendingWrite // machine thread -> buffered writes
-	fold    DeltaFold                 // typed-counter delta resolution, in commit order
+	pending map[uint64][]spec.Op // machine thread -> pushed operations
 }
 
-type pendingWrite struct {
-	opID uint64
-	w    Write
-}
-
-// NewApplier builds the sink feeding st (and sh, which may be nil).
-func NewApplier(mode Mode, st *Store, sh *Shadow) *Applier {
-	a := &Applier{mode: mode, st: st, sh: sh, pending: make(map[uint64][]pendingWrite)}
-	if sh != nil {
-		st.OnTruncate(sh.TrimTo)
-	}
-	return a
+// NewApplier builds the sink feeding st.
+func NewApplier(st *Store) *Applier {
+	return &Applier{st: st, pending: make(map[uint64][]spec.Op)}
 }
 
 var _ core.EventSink = (*Applier)(nil)
 
-// TranslateOp projects one operation of the shadow-machine op
-// alphabet onto the KV write-set. Reads and non-KV objects (the
-// hybrid's "htm" counter register) fold to nothing. The recovery
-// replay and the live event stream share this projection, so a
-// follower folding shipped WAL bytes builds the same version chains
-// the primary's applier does.
-func TranslateOp(mode Mode, op spec.Op) (Write, bool) {
-	switch mode {
-	case ModeRegister:
-		if op.Obj == "mem" && op.Method == adt.MWrite && len(op.Args) >= 2 {
-			return Write{Key: uint64(op.Args[0]), Val: op.Args[1], Present: true}, true
+// translate projects one operation of the shadow-machine op alphabet
+// onto the KV write-set. Reads and non-KV objects (the hybrid's "htm"
+// counter register) fold to nothing.
+func translate(mode Mode, op spec.Op) (write, bool) {
+	a := op.Args
+	switch {
+	case mode == ModeRegister:
+		if op.Obj == "mem" && op.Method == adt.MWrite && len(a) >= 2 {
+			return write{key: uint64(a[0]), val: a[1], present: true}, true
 		}
-	case ModeMap:
-		switch op.Obj {
-		case "ht":
-			switch op.Method {
-			case adt.MMapPut:
-				if len(op.Args) >= 2 {
-					return Write{Key: uint64(op.Args[0]), Val: op.Args[1], Present: true}, true
-				}
-			case adt.MMapRemove:
-				if len(op.Args) >= 1 {
-					return Write{Key: uint64(op.Args[0]), Present: false}, true
-				}
-			}
-		case ops.Obj:
-			// Typed counter cells fold at ops.KeyBit|k so snapshot reads
-			// of counters never collide with the blind map's keys. Adds
-			// and approved withdraws fold as deltas (two commuting
-			// increments must both land, whichever order they commit);
-			// a cas that installed folds as the absolute it wrote. Set
-			// and queue methods have no snapshot surface and fold to
-			// nothing, as do reads.
-			switch op.Method {
-			case adt.MOpsAdd:
-				if len(op.Args) >= 2 {
-					return Write{Key: ops.KeyBit | uint64(op.Args[0]), Val: op.Args[1], Present: true, Delta: true}, true
-				}
-			case adt.MOpsWd:
-				if len(op.Args) >= 2 {
-					return Write{Key: ops.KeyBit | uint64(op.Args[0]), Val: -op.Args[1], Present: true, Delta: true}, true
-				}
-			case adt.MOpsCAS:
-				if len(op.Args) >= 3 && op.Ret == op.Args[1] {
-					return Write{Key: ops.KeyBit | uint64(op.Args[0]), Val: op.Args[2], Present: true}, true
-				}
-			}
-		}
+	case op.Obj == "ht" && op.Method == adt.MMapPut && len(a) >= 2:
+		return write{key: uint64(a[0]), val: a[1], present: true}, true
+	case op.Obj == "ht" && op.Method == adt.MMapRemove && len(a) >= 1:
+		return write{key: uint64(a[0])}, true
+	case op.Obj != ops.Obj || len(a) < 2:
+		// Not a typed counter operation: nothing to fold.
+	// Typed counter cells fold at ops.KeyBit|k, away from the blind
+	// map's keys (client keys stop below KeyBit). Adds and approved
+	// withdraws fold as deltas (two commuting increments must both
+	// land, whichever order they commit); a cas that installed folds as
+	// the absolute it wrote. Set and queue methods have no snapshot
+	// surface and fold to nothing, as do reads.
+	case op.Method == adt.MOpsAdd:
+		return write{key: ops.KeyBit | uint64(a[0]), val: a[1], present: true, delta: true}, true
+	case op.Method == adt.MOpsWd:
+		return write{key: ops.KeyBit | uint64(a[0]), val: -a[1], present: true, delta: true}, true
+	case op.Method == adt.MOpsCAS && len(a) >= 3 && op.Ret == a[1]:
+		return write{key: ops.KeyBit | uint64(a[0]), val: a[2], present: true}, true
 	}
-	return Write{}, false
+	return write{}, false
 }
 
-// DeltaFold resolves delta writes (typed counter arithmetic) to the
-// absolute values the Store and Shadow require, accumulating per-key
-// running totals. Callers must feed it committed write-sets in commit
-// order under their own serialization (the applier resolves under the
-// recorder-serialized commit stream, the replica under its fold lock).
-type DeltaFold struct {
-	vals map[uint64]int64
-}
-
-// Resolve rewrites writes in place: each delta becomes the new absolute
-// value of its key, and absolute writes into the typed-counter
-// namespace (a resolved cas) reset the running total.
-func (f *DeltaFold) Resolve(writes []Write) {
+// resolveLocked rewrites writes in place, in commit order: each delta
+// becomes the new absolute value of its counter cell, and an absolute
+// write into the typed-counter namespace (an installed cas) resets the
+// running total.
+func (s *Store) resolveLocked(writes []write) {
 	for i := range writes {
 		w := &writes[i]
 		switch {
-		case w.Delta:
-			if f.vals == nil {
-				f.vals = make(map[uint64]int64)
-			}
-			nv := f.vals[w.Key] + w.Val
-			f.vals[w.Key] = nv
-			w.Val, w.Delta = nv, false
-		case w.Present && w.Key&ops.KeyBit != 0:
-			if f.vals == nil {
-				f.vals = make(map[uint64]int64)
-			}
-			f.vals[w.Key] = w.Val
+		case w.delta:
+			w.val += s.deltas[w.key]
+			w.delta = false
+			s.deltas[w.key] = w.val
+		case w.present && w.key&ops.KeyBit != 0:
+			s.deltas[w.key] = w.val
 		}
 	}
 }
 
-// Emit observes one rule transition. Cheap by contract: a map append
-// per pushed write, one Apply per commit.
+// Emit observes one rule transition. Cheap by contract: a slice append
+// per pushed operation, one Commit per commit.
 func (a *Applier) Emit(e core.SinkEvent) {
 	switch e.Rule {
 	case core.RPush:
-		w, ok := TranslateOp(a.mode, e.Op)
-		if !ok {
-			return
-		}
 		a.mu.Lock()
-		a.pending[e.Tx] = append(a.pending[e.Tx], pendingWrite{opID: e.Op.ID, w: w})
+		a.pending[e.Tx] = append(a.pending[e.Tx], e.Op)
 		a.mu.Unlock()
 	case core.RUnpush:
 		a.mu.Lock()
 		buf := a.pending[e.Tx]
 		for i := len(buf) - 1; i >= 0; i-- {
-			if buf[i].opID == e.Op.ID {
+			if buf[i].ID == e.Op.ID {
 				a.pending[e.Tx] = append(buf[:i], buf[i+1:]...)
 				break
 			}
@@ -154,21 +104,8 @@ func (a *Applier) Emit(e core.SinkEvent) {
 		a.mu.Lock()
 		buf := a.pending[e.Tx]
 		delete(a.pending, e.Tx)
-		writes := make([]Write, len(buf))
-		for i, pw := range buf {
-			writes[i] = pw.w
-		}
-		// Commits arrive serialized by the recorder mutex, so the delta
-		// fold accumulates in true commit order; a.mu keeps it visible.
-		a.fold.Resolve(writes)
 		a.mu.Unlock()
-		// Shadow first: Apply may cross the GC-debt threshold and call
-		// TrimTo(watermark) through the truncation hook — the shadow
-		// must already hold this commit before the bound reaches it.
-		if a.sh != nil {
-			a.sh.Append(e.Stamp, writes)
-		}
-		a.st.Apply(e.Stamp, writes)
+		a.st.Commit(e.Stamp, buf)
 	case core.RAbort:
 		a.mu.Lock()
 		delete(a.pending, e.Tx)

@@ -19,23 +19,23 @@ func TestTranslateTypedOps(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		op   spec.Op
-		want Write
+		want write
 		ok   bool
 	}{
 		{"add folds as delta", mk(adt.MOpsAdd, 0, 7, 5),
-			Write{Key: ops.KeyBit | 7, Val: 5, Present: true, Delta: true}, true},
+			write{key: ops.KeyBit | 7, val: 5, present: true, delta: true}, true},
 		{"wd folds as negative delta", mk(adt.MOpsWd, 0, 7, 3),
-			Write{Key: ops.KeyBit | 7, Val: -3, Present: true, Delta: true}, true},
+			write{key: ops.KeyBit | 7, val: -3, present: true, delta: true}, true},
 		{"installed cas folds absolute", mk(adt.MOpsCAS, 10, 7, 10, 99),
-			Write{Key: ops.KeyBit | 7, Val: 99, Present: true}, true},
-		{"refused cas folds to nothing", mk(adt.MOpsCAS, 4, 7, 10, 99), Write{}, false},
-		{"cget folds to nothing", mk(adt.MOpsGet, 12, 7), Write{}, false},
-		{"sadd folds to nothing", mk(adt.MOpsSAdd, 0, 7, 1), Write{}, false},
-		{"qpush folds to nothing", mk(adt.MOpsQPush, 0, 7, 1), Write{}, false},
+			write{key: ops.KeyBit | 7, val: 99, present: true}, true},
+		{"refused cas folds to nothing", mk(adt.MOpsCAS, 4, 7, 10, 99), write{}, false},
+		{"cget folds to nothing", mk(adt.MOpsGet, 12, 7), write{}, false},
+		{"sadd folds to nothing", mk(adt.MOpsSAdd, 0, 7, 1), write{}, false},
+		{"qpush folds to nothing", mk(adt.MOpsQPush, 0, 7, 1), write{}, false},
 	} {
-		got, ok := TranslateOp(ModeMap, tc.op)
+		got, ok := translate(ModeMap, tc.op)
 		if ok != tc.ok || got != tc.want {
-			t.Errorf("%s: TranslateOp = (%+v, %v), want (%+v, %v)",
+			t.Errorf("%s: translate = (%+v, %v), want (%+v, %v)",
 				tc.name, got, ok, tc.want, tc.ok)
 		}
 	}
@@ -47,38 +47,38 @@ func TestTranslateTypedOps(t *testing.T) {
 // outside the namespace pass through untouched.
 func TestDeltaFoldResolve(t *testing.T) {
 	k := ops.KeyBit | 7
-	var f DeltaFold
+	f := NewStore(ModeMap, 0)
 	steps := []struct {
-		in      Write
+		in      write
 		wantVal int64
 	}{
-		{Write{Key: k, Val: 5, Present: true, Delta: true}, 5},
-		{Write{Key: k, Val: 3, Present: true, Delta: true}, 8},
-		{Write{Key: k, Val: -2, Present: true, Delta: true}, 6},
-		{Write{Key: k, Val: 100, Present: true}, 100}, // cas reset
-		{Write{Key: k, Val: 1, Present: true, Delta: true}, 101},
-		{Write{Key: 7, Val: 42, Present: true}, 42}, // plain map key: untouched
+		{write{key: k, val: 5, present: true, delta: true}, 5},
+		{write{key: k, val: 3, present: true, delta: true}, 8},
+		{write{key: k, val: -2, present: true, delta: true}, 6},
+		{write{key: k, val: 100, present: true}, 100}, // cas reset
+		{write{key: k, val: 1, present: true, delta: true}, 101},
+		{write{key: 7, val: 42, present: true}, 42}, // plain map key: untouched
 	}
 	for i, st := range steps {
-		ws := []Write{st.in}
-		f.Resolve(ws)
-		if ws[0].Delta {
+		ws := []write{st.in}
+		f.resolveLocked(ws)
+		if ws[0].delta {
 			t.Fatalf("step %d: delta survived resolution", i)
 		}
-		if ws[0].Val != st.wantVal {
-			t.Fatalf("step %d: resolved to %d, want %d", i, ws[0].Val, st.wantVal)
+		if ws[0].val != st.wantVal {
+			t.Fatalf("step %d: resolved to %d, want %d", i, ws[0].val, st.wantVal)
 		}
 	}
 
 	// Independent folds on independent keys, resolved in one batch.
-	var g DeltaFold
-	batch := []Write{
-		{Key: ops.KeyBit | 1, Val: 4, Present: true, Delta: true},
-		{Key: ops.KeyBit | 2, Val: 9, Present: true, Delta: true},
-		{Key: ops.KeyBit | 1, Val: 4, Present: true, Delta: true},
+	g := NewStore(ModeMap, 0)
+	batch := []write{
+		{key: ops.KeyBit | 1, val: 4, present: true, delta: true},
+		{key: ops.KeyBit | 2, val: 9, present: true, delta: true},
+		{key: ops.KeyBit | 1, val: 4, present: true, delta: true},
 	}
-	g.Resolve(batch)
-	if batch[0].Val != 4 || batch[1].Val != 9 || batch[2].Val != 8 {
+	g.resolveLocked(batch)
+	if batch[0].val != 4 || batch[1].val != 9 || batch[2].val != 8 {
 		t.Fatalf("batch resolved to %v", batch)
 	}
 }

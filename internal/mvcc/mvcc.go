@@ -1,29 +1,30 @@
 // Package mvcc is the multi-version store under the serving
 // substrates: the committed global log G, materialized per key.
 //
-// Every substrate in this repository already certifies its commits
-// against a shadow Push/Pull machine, and that machine dispatches one
-// CMT event per committed transaction — with the machine's monotonic
-// commit stamp — through the core.EventSink seam. This package folds
-// exactly that stream: an Applier buffers each transaction's PUSHed
-// write operations and, at CMT, appends one version per written key
-// (value, commit seq, prev pointer) to a Store. The store is therefore
-// structurally a fold of the same committed log the WAL and the
-// replicas see; nothing is written that was not pushed and committed
+// Every certified substrate dispatches one CMT event per committed
+// transaction, with its monotonic commit stamp, through the
+// core.EventSink seam. An Applier on that seam hands each committed
+// transaction's operations to Store.Commit, which appends one version
+// per written key (value, commit seq, prev pointer); a follower's
+// replica calls the same Commit for each transaction it replays from
+// the shipped WAL. Nothing is written that was not pushed and committed
 // through the eight rules.
 //
-// A Snapshot pins a commit watermark and serves Get/Fold at that
-// watermark: in Push/Pull terms it is a PULL-only transaction — it
-// pulls a consistent committed prefix of G and never pushes, so it can
-// never conflict, never validates, and never aborts. A watermark-based
-// garbage collector truncates version chains below the oldest pinned
-// snapshot, bounding memory by the span between the oldest live reader
-// and the head of the log.
+// A Snapshot pins a commit watermark and serves reads at it: in
+// Push/Pull terms a PULL-only transaction, which pulls a committed
+// prefix of G and never pushes, so it never conflicts, validates or
+// aborts. A Cut is one such transaction over one store per shard; its
+// reads are certified against each store's independent certifier
+// before they are released. Garbage collection truncates version
+// chains below the oldest pinned snapshot.
 package mvcc
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"pushpull/internal/spec"
 )
 
 // Mode selects the key semantics of the substrate the store shadows.
@@ -49,17 +50,17 @@ func ModeFor(substrate string) Mode {
 	}
 }
 
-// Write is one committed mutation: key (a register address in
+// write is one committed mutation: key (a register address in
 // ModeRegister, a full key in ModeMap), the value, and whether the key
-// is present afterwards (false = map remove, a tombstone). Delta marks
-// a typed-counter increment whose Val is a relative amount rather than
-// an absolute value; a DeltaFold must resolve it before the write
-// reaches a Store or Shadow (both are absolute-only).
-type Write struct {
-	Key     uint64
-	Val     int64
-	Present bool
-	Delta   bool
+// is present afterwards (false = map remove, a tombstone). delta marks
+// a typed-counter increment whose val is a relative amount rather than
+// an absolute value; Commit resolves it before the write reaches the
+// chains or the certifier (both are absolute-only).
+type write struct {
+	key     uint64
+	val     int64
+	present bool
+	delta   bool
 }
 
 // Observer receives gauge deltas (version count, open snapshots) so a
@@ -83,13 +84,16 @@ const gcEvery = 512
 
 const noPin = ^uint64(0)
 
-// Store holds one version chain per key plus the pin table of open
-// snapshots. All methods are safe for concurrent use.
+// Store holds one version chain per key, the pin table of open
+// snapshots, the independent read certifier, and the running totals of
+// typed counters. All methods are safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
 	mode   Mode
 	keys   uint64 // register modulus (ModeRegister only)
 	chains map[uint64]*version
+	cert   *shadow
+	deltas map[uint64]int64 // typed counter cell -> committed value
 
 	watermark uint64         // highest commit seq applied
 	versions  int64          // live version count
@@ -99,8 +103,7 @@ type Store struct {
 	snaps     int            // open snapshots
 	gcDebt    int64          // versions appended since last sweep
 
-	obs       Observer
-	truncHook func(bound uint64)
+	obs Observer
 }
 
 // NewStore builds an empty store. keys is the register modulus for
@@ -113,6 +116,8 @@ func NewStore(mode Mode, keys int) *Store {
 		mode:   mode,
 		keys:   uint64(keys),
 		chains: make(map[uint64]*version),
+		cert:   newShadow(mode),
+		deltas: make(map[uint64]int64),
 		pins:   make(map[uint64]int),
 		minPin: noPin,
 	}
@@ -120,12 +125,6 @@ func NewStore(mode Mode, keys int) *Store {
 
 // SetObserver attaches the gauge observer. Call before serving.
 func (s *Store) SetObserver(o Observer) { s.obs = o }
-
-// OnTruncate registers a hook receiving each GC sweep's truncation
-// bound — the certifier trims its window to the same bound, so the
-// two folds stay certifiable over exactly the same span. Call before
-// serving.
-func (s *Store) OnTruncate(fn func(bound uint64)) { s.truncHook = fn }
 
 // slot maps a service key to its chain key under the store's mode.
 func (s *Store) slot(key uint64) uint64 {
@@ -135,19 +134,28 @@ func (s *Store) slot(key uint64) uint64 {
 	return key
 }
 
-// Apply appends one committed transaction's write-set at commit seq.
-// Seqs must be strictly monotonic — they are machine commit stamps,
-// dispatched in order under the recorder mutex; a violation here means
+// Commit folds one committed transaction's operations at commit seq:
+// project them onto writes, resolve counter deltas, append to the
+// certifier, then to the chains. Certifier first: the append may cross
+// the GC-debt threshold, and the sweep trims the certifier to this
+// seq. Seqs are commit stamps, strictly increasing; a regression means
 // the commit-order witness is broken, so fail loudly.
-func (s *Store) Apply(seq uint64, writes []Write) {
+func (s *Store) Commit(seq uint64, ops []spec.Op) {
+	var writes []write
+	for _, op := range ops {
+		if w, ok := translate(s.mode, op); ok {
+			writes = append(writes, w)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq <= s.watermark {
 		panic(fmt.Sprintf("mvcc: commit seq %d not above watermark %d (commit order witness broken)", seq, s.watermark))
 	}
+	s.resolveLocked(writes)
+	s.cert.append(seq, writes)
 	for _, w := range writes {
-		k := w.Key // applier feeds slot keys already
-		s.chains[k] = &version{seq: seq, val: w.Val, present: w.Present, prev: s.chains[k]}
+		s.chains[w.key] = &version{seq: seq, val: w.val, present: w.present, prev: s.chains[w.key]}
 	}
 	n := int64(len(writes))
 	s.versions += n
@@ -159,13 +167,6 @@ func (s *Store) Apply(seq uint64, writes []Write) {
 	if s.gcDebt >= gcEvery {
 		s.gcLocked()
 	}
-}
-
-// Watermark returns the highest applied commit seq.
-func (s *Store) Watermark() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.watermark
 }
 
 // Snapshot pins the current watermark and returns a handle serving
@@ -257,9 +258,9 @@ func (s *Store) gcLocked() {
 	if s.obs != nil && dropped != 0 {
 		s.obs.MVCCVersionsAdd(-dropped)
 	}
-	if s.truncHook != nil {
-		s.truncHook(bound)
-	}
+	// The certifier trims to the same bound, so the two folds stay
+	// certifiable over exactly the same span.
+	s.cert.trimTo(bound)
 }
 
 // TruncateNow forces a GC sweep (tests and shutdown).
@@ -291,14 +292,28 @@ func (s *Store) StoreStats() Stats {
 	}
 }
 
+// SumStats adds up the censuses of per-shard stores; the watermark is
+// the highest one (per-shard stamps are independent sequences).
+func SumStats(stores []*Store) Stats {
+	var out Stats
+	for _, st := range stores {
+		s := st.StoreStats()
+		out.Versions += s.Versions
+		out.Chains += s.Chains
+		out.SnapshotsOpen += s.SnapshotsOpen
+		out.Truncated += s.Truncated
+		out.Watermark = max(out.Watermark, s.Watermark)
+	}
+	return out
+}
+
 // Snapshot is a pinned read view: a PULL-only transaction over the
 // committed prefix of G at watermark w. Reads never block writers
 // beyond the store's RLock and can never abort.
 type Snapshot struct {
 	st     *Store
 	w      uint64
-	closed bool
-	mu     sync.Mutex // guards closed
+	closed atomic.Bool
 }
 
 // Watermark returns the pinned commit seq.
@@ -316,10 +331,7 @@ func (sn *Snapshot) Get(key uint64) (int64, bool) {
 		v = v.prev
 	}
 	if v == nil || !v.present {
-		if s.mode == ModeRegister {
-			return 0, true
-		}
-		return 0, false
+		return 0, s.mode == ModeRegister // registers default to zero
 	}
 	return v.val, true
 }
@@ -344,12 +356,7 @@ func (sn *Snapshot) Fold(fn func(key uint64, val int64)) {
 
 // Close releases the pin. Idempotent.
 func (sn *Snapshot) Close() {
-	sn.mu.Lock()
-	if sn.closed {
-		sn.mu.Unlock()
-		return
+	if !sn.closed.Swap(true) {
+		sn.st.unpin(sn.w)
 	}
-	sn.closed = true
-	sn.mu.Unlock()
-	sn.st.unpin(sn.w)
 }

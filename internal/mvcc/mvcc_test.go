@@ -2,13 +2,28 @@ package mvcc
 
 import (
 	"testing"
+
+	"pushpull/internal/adt"
+	"pushpull/internal/spec"
 )
 
-// apply pushes one committed write-set through the shadow-then-store
-// order the applier uses.
-func apply(st *Store, sh *Shadow, seq uint64, writes ...Write) {
-	sh.Append(seq, writes)
-	st.Apply(seq, writes)
+// put is the committed operation writing key := val under mode: a
+// register write on the word substrates, a map put on the boosted ones.
+func put(mode Mode, key uint64, val int64) spec.Op {
+	if mode == ModeMap {
+		return spec.Op{Obj: "ht", Method: adt.MMapPut, Args: []int64{int64(key), val}}
+	}
+	return spec.Op{Obj: "mem", Method: adt.MWrite, Args: []int64{int64(key), val}}
+}
+
+// remove is the committed map remove of key.
+func remove(key uint64) spec.Op {
+	return spec.Op{Obj: "ht", Method: adt.MMapRemove, Args: []int64{int64(key)}}
+}
+
+// obs is one observed read, as a Cut logs it.
+func obs(key uint64, val int64, found bool) readObs {
+	return readObs{key: key, val: val, found: found}
 }
 
 // TestSIAnomalyTable pins the isolation boundary the read-only class
@@ -23,11 +38,10 @@ func apply(st *Store, sh *Shadow, seq uint64, writes ...Write) {
 // can witness a state off the committed chain.
 func TestSIAnomalyTable(t *testing.T) {
 	st := NewStore(ModeRegister, 8)
-	sh := NewShadow(ModeRegister, 8)
-	st.OnTruncate(sh.TrimTo)
+	sh := st.cert
 	const x, y = 0, 1
-	apply(st, sh, 1, Write{Key: x, Val: 50, Present: true})
-	apply(st, sh, 2, Write{Key: y, Val: 50, Present: true})
+	st.Commit(1, []spec.Op{put(ModeRegister, x, 50)})
+	st.Commit(2, []spec.Op{put(ModeRegister, y, 50)})
 
 	// Both RW transactions read {x, y} at watermark 2.
 	snap := st.Snapshot()
@@ -36,19 +50,19 @@ func TestSIAnomalyTable(t *testing.T) {
 	if xv+yv < 60 {
 		t.Fatalf("setup broken: x+y = %d", xv+yv)
 	}
-	reads := []ReadObs{{Key: x, Val: xv, Found: true}, {Key: y, Val: yv, Found: true}}
+	reads := []readObs{obs(x, xv, true), obs(y, yv, true)}
 	// Each transaction's read set certifies at the shared snapshot —
 	// snapshot isolation sees nothing wrong with either...
-	if err := sh.Certify(snap.Watermark(), reads); err != nil {
+	if err := sh.certify(snap.Watermark(), reads); err != nil {
 		t.Fatalf("txn A reads failed SI certification: %v", err)
 	}
-	if err := sh.Certify(snap.Watermark(), reads); err != nil {
+	if err := sh.certify(snap.Watermark(), reads); err != nil {
 		t.Fatalf("txn B reads failed SI certification: %v", err)
 	}
 	snap.Close()
 	// ...so both commit, with disjoint write sets.
-	apply(st, sh, 3, Write{Key: x, Val: xv - 60, Present: true})
-	apply(st, sh, 4, Write{Key: y, Val: yv - 60, Present: true})
+	st.Commit(3, []spec.Op{put(ModeRegister, x, xv-60)})
+	st.Commit(4, []spec.Op{put(ModeRegister, y, yv-60)})
 	final := st.Snapshot()
 	defer final.Close()
 	fx, _ := final.Get(x)
@@ -70,19 +84,18 @@ func TestSIAnomalyTable(t *testing.T) {
 		if gx != want[0] || gy != want[1] {
 			t.Fatalf("watermark %d: read-only view (%d,%d), want committed prefix state %v", w, gx, gy, want)
 		}
-		obs := []ReadObs{{Key: x, Val: gx, Found: true}, {Key: y, Val: gy, Found: true}}
-		if err := sh.Certify(w, obs); err != nil {
+		if err := sh.certify(w, []readObs{obs(x, gx, true), obs(y, gy, true)}); err != nil {
 			t.Fatalf("watermark %d: consistent prefix read failed certification: %v", w, err)
 		}
 		// A torn read — x from one prefix, y from another — must be
 		// rejected: that is the anomaly shape the RO class excludes.
 		if w >= 2 {
-			torn := []ReadObs{
-				{Key: x, Val: wantStates[w][0], Found: true},
-				{Key: y, Val: wantStates[w-2][1], Found: true},
+			torn := []readObs{
+				obs(x, wantStates[w][0], true),
+				obs(y, wantStates[w-2][1], true),
 			}
-			if torn[1].Val != wantStates[w][1] {
-				if err := sh.Certify(w, torn); err == nil {
+			if torn[1].val != wantStates[w][1] {
+				if err := sh.certify(w, torn); err == nil {
 					t.Fatalf("watermark %d: torn read %v passed certification", w, torn)
 				}
 			}
@@ -91,7 +104,7 @@ func TestSIAnomalyTable(t *testing.T) {
 }
 
 // lookup exposes lookupLocked for the anomaly table.
-func (sh *Shadow) lookup(key, w uint64) (int64, bool) {
+func (sh *shadow) lookup(key, w uint64) (int64, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.lookupLocked(key, w)
@@ -106,7 +119,7 @@ func TestGCBoundRespectsPins(t *testing.T) {
 	const key = 2
 	// Build a long chain on one key, pinning early.
 	apply2 := func(seq uint64, val int64) {
-		st.Apply(seq, []Write{{Key: key, Val: val, Present: true}})
+		st.Commit(seq, []spec.Op{put(ModeRegister, key, val)})
 	}
 	apply2(1, 100)
 	snap := st.Snapshot() // pins watermark 1
@@ -139,24 +152,23 @@ func TestGCBoundRespectsPins(t *testing.T) {
 }
 
 // TestGCTrimsShadowWindow pins the certifier side of the bound: the
-// store's truncation hook trims the shadow window to the same bound,
-// so a watermark below it is refused (pin outlived GC) while live
+// store's GC sweep trims the certifier window to the same bound, so a
+// watermark below it is refused (pin outlived GC) while live
 // watermarks stay certifiable.
 func TestGCTrimsShadowWindow(t *testing.T) {
 	st := NewStore(ModeRegister, 4)
-	sh := NewShadow(ModeRegister, 4)
-	st.OnTruncate(sh.TrimTo)
+	sh := st.cert
 	for seq := uint64(1); seq <= gcEvery+8; seq++ {
-		apply(st, sh, seq, Write{Key: 1, Val: int64(seq), Present: true})
+		st.Commit(seq, []spec.Op{put(ModeRegister, 1, int64(seq))})
 	}
 	st.TruncateNow()
 	// The bound is the watermark (no pins): old watermarks are gone.
-	if err := sh.Certify(1, []ReadObs{{Key: 1, Val: 1, Found: true}}); err == nil {
+	if err := sh.certify(1, []readObs{obs(1, 1, true)}); err == nil {
 		t.Fatal("certification at a truncated watermark must fail")
 	}
 	// The current watermark still certifies.
-	w := st.Watermark()
-	if err := sh.Certify(w, []ReadObs{{Key: 1, Val: int64(w), Found: true}}); err != nil {
+	w := st.StoreStats().Watermark
+	if err := sh.certify(w, []readObs{obs(1, int64(w), true)}); err != nil {
 		t.Fatalf("live watermark refused: %v", err)
 	}
 }
@@ -166,16 +178,14 @@ func TestGCTrimsShadowWindow(t *testing.T) {
 // GC deletes chains whose sole surviving version is a tombstone.
 func TestMapModeTombstones(t *testing.T) {
 	st := NewStore(ModeMap, 0)
-	sh := NewShadow(ModeMap, 0)
-	st.OnTruncate(sh.TrimTo)
-	apply(st, sh, 1, Write{Key: 7, Val: 42, Present: true})
-	apply(st, sh, 2, Write{Key: 7, Present: false})
+	st.Commit(1, []spec.Op{put(ModeMap, 7, 42)})
+	st.Commit(2, []spec.Op{remove(7)})
 	snap := st.Snapshot()
 	if _, found := snap.Get(7); found {
 		t.Fatal("removed key still found at the remove's watermark")
 	}
 	snap.Close()
-	if err := sh.Certify(2, []ReadObs{{Key: 7, Found: false}}); err != nil {
+	if err := st.cert.certify(2, []readObs{obs(7, 0, false)}); err != nil {
 		t.Fatalf("tombstone read failed certification: %v", err)
 	}
 	st.TruncateNow()
@@ -188,8 +198,8 @@ func TestMapModeTombstones(t *testing.T) {
 // both substrate modes and checks that every pinned snapshot agrees
 // with a reference fold of the prefix at its watermark, and that the
 // observed reads always certify. Bytes decode as (key, val, present,
-// pin?) commit tuples; register mode forces present writes (its
-// applier never emits tombstones), map mode uses the presence bit.
+// pin?) commit tuples; register mode forces present writes (registers
+// have no remove), map mode uses the presence bit.
 func FuzzSnapshotVisibility(f *testing.F) {
 	f.Add([]byte{1, 5, 1, 0, 2, 9, 0, 1, 1, 3, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -204,8 +214,6 @@ func FuzzSnapshotVisibility(f *testing.F) {
 func fuzzOneMode(t *testing.T, mode Mode, data []byte) {
 	const keys = 8
 	st := NewStore(mode, keys)
-	sh := NewShadow(mode, keys)
-	st.OnTruncate(sh.TrimTo)
 
 	type image struct {
 		val   int64
@@ -223,8 +231,11 @@ func fuzzOneMode(t *testing.T, mode Mode, data []byte) {
 		val := int64(data[i+1])
 		present := mode == ModeRegister || data[i+2]%2 == 1
 		seq++
-		w := Write{Key: key, Val: val, Present: present}
-		apply(st, sh, seq, w)
+		op := put(mode, key, val)
+		if !present {
+			op = remove(key)
+		}
+		st.Commit(seq, []spec.Op{op})
 		if present {
 			ref[key] = image{val: val, found: true}
 		} else {
@@ -239,7 +250,7 @@ func fuzzOneMode(t *testing.T, mode Mode, data []byte) {
 		}
 	}
 	for _, p := range pins {
-		var obs []ReadObs
+		var reads []readObs
 		for k := uint64(0); k < keys; k++ {
 			got, found := p.snap.Get(k)
 			want := p.ref[k]
@@ -251,9 +262,9 @@ func fuzzOneMode(t *testing.T, mode Mode, data []byte) {
 				t.Fatalf("mode %d snapshot@%d key %d: got (%d, found=%v), want (%d, found=%v)",
 					mode, p.snap.Watermark(), k, got, found, want.val, want.found)
 			}
-			obs = append(obs, ReadObs{Key: k, Val: got, Found: found})
+			reads = append(reads, obs(k, got, found))
 		}
-		if err := sh.Certify(p.snap.Watermark(), obs); err != nil {
+		if err := st.cert.certify(p.snap.Watermark(), reads); err != nil {
 			t.Fatalf("mode %d snapshot@%d: %v", mode, p.snap.Watermark(), err)
 		}
 		p.snap.Close()

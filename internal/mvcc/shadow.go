@@ -5,34 +5,28 @@ import (
 	"sync"
 )
 
-// Shadow is the read-only transaction certifier: an independent,
-// flat materialization of the committed write history, fed from the
-// same CMT events as the Store but kept as an ordered window of
-// (seq, write-set) records over a folded base image. Certify replays
-// a read-only transaction's observed result set against this history
-// and demands that every read equals the latest committed write at or
-// below the transaction's snapshot watermark.
+// shadow is the read-only transaction certifier: an independent, flat
+// materialization of the committed write history, fed by the same
+// Store.Commit as the version chains but kept as an ordered window of
+// (seq, write-set) records over a folded base image. certify demands
+// that every read of a read-only transaction equals the latest
+// committed write at or below its snapshot watermark.
 //
-// Under snapshot isolation a read-only transaction that reads a single
-// committed prefix is serializable (the read-only serializability
-// theorem for SI — see PAPERS.md, "On the Semantics of Snapshot
-// Isolation"), so a transaction that passes Certify is not merely
-// SI-consistent but has a serial position: immediately after the
-// commit it pinned. The certifier is deliberately redundant with the
-// Store — two independent folds of the same event stream must agree,
-// or one of them is broken.
-type Shadow struct {
+// A read-only transaction that reads a single committed prefix is
+// serializable (the read-only serializability theorem for SI — see
+// PAPERS.md, "On the Semantics of Snapshot Isolation"), so passing
+// certify gives it a serial position: right after the commit it
+// pinned. The certifier is deliberately redundant with the chains —
+// two independent folds of the same write-sets must agree, or one of
+// them is broken.
+type shadow struct {
 	mu   sync.Mutex
 	mode Mode
-	keys uint64
 
 	base    map[uint64]entry // folded image of commits <= baseSeq
 	baseSeq uint64
 	window  []commitRec // commits in (baseSeq, head], ascending seq
 	head    uint64
-
-	certified uint64
-	failed    uint64
 }
 
 type entry struct {
@@ -42,64 +36,46 @@ type entry struct {
 
 type commitRec struct {
 	seq    uint64
-	writes []Write
+	writes []write
 }
 
-// ReadObs is one observed read of a read-only transaction: the key the
-// client asked for and the (value, found) the server answered.
-type ReadObs struct {
-	Key   uint64
-	Val   int64
-	Found bool
+// readObs is one observed read of a read-only transaction: the chain
+// key it consulted and the (value, found) the snapshot answered.
+type readObs struct {
+	key   uint64
+	val   int64
+	found bool
 }
 
-// NewShadow builds an empty certifier with the same key semantics as
-// the store it mirrors.
-func NewShadow(mode Mode, keys int) *Shadow {
-	if keys <= 0 {
-		keys = 1
-	}
-	return &Shadow{
-		mode: mode,
-		keys: uint64(keys),
-		base: make(map[uint64]entry),
-	}
+func newShadow(mode Mode) *shadow {
+	return &shadow{mode: mode, base: make(map[uint64]entry)}
 }
 
-func (sh *Shadow) slot(key uint64) uint64 {
-	if sh.mode == ModeRegister {
-		return key % sh.keys
-	}
-	return key
-}
-
-// Append records one committed transaction. Seqs must arrive in
-// strictly increasing order (they do: the recorder mutex serializes
-// CMT dispatch).
-func (sh *Shadow) Append(seq uint64, writes []Write) {
+// append records one committed transaction; Store.Commit is its only
+// caller, in strictly increasing seq order, and hands over ownership of
+// writes.
+func (sh *shadow) append(seq uint64, writes []write) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if seq <= sh.head {
 		panic(fmt.Sprintf("mvcc: shadow commit seq %d not above head %d", seq, sh.head))
 	}
 	if len(writes) != 0 {
-		cp := make([]Write, len(writes))
-		copy(cp, writes)
-		sh.window = append(sh.window, commitRec{seq: seq, writes: cp})
+		sh.window = append(sh.window, commitRec{seq: seq, writes: writes})
 	}
 	sh.head = seq
 }
 
-// TrimTo folds every windowed commit at or below bound into the base
+// trimTo folds every windowed commit at or below bound into the base
 // image. The store's GC calls this with its own truncation bound, so
 // any watermark a live snapshot can hold stays certifiable.
-func (sh *Shadow) TrimTo(bound uint64) {
+func (sh *shadow) trimTo(bound uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i := 0
 	for i < len(sh.window) && sh.window[i].seq <= bound {
 		for _, w := range sh.window[i].writes {
-			sh.base[w.Key] = entry{val: w.Val, present: w.Present}
+			sh.base[w.key] = entry{val: w.val, present: w.present}
 		}
 		i++
 	}
@@ -114,9 +90,9 @@ func (sh *Shadow) TrimTo(bound uint64) {
 	}
 }
 
-// lookupLocked resolves the committed value of key at watermark w.
-func (sh *Shadow) lookupLocked(key uint64, w uint64) (int64, bool) {
-	k := sh.slot(key)
+// lookupLocked resolves the committed value of chain key k at
+// watermark w.
+func (sh *shadow) lookupLocked(k uint64, w uint64) (int64, bool) {
 	// Newest window commit at or below w wins; within one commit the
 	// last write to the key wins.
 	for i := len(sh.window) - 1; i >= 0; i-- {
@@ -125,51 +101,37 @@ func (sh *Shadow) lookupLocked(key uint64, w uint64) (int64, bool) {
 			continue
 		}
 		for j := len(rec.writes) - 1; j >= 0; j-- {
-			if rec.writes[j].Key == k {
-				return rec.writes[j].Val, rec.writes[j].Present
+			if rec.writes[j].key == k {
+				return rec.writes[j].val, rec.writes[j].present
 			}
 		}
 	}
 	if e, ok := sh.base[k]; ok {
 		return e.val, e.present
 	}
-	if sh.mode == ModeRegister {
-		return 0, true
-	}
-	return 0, false
+	return 0, sh.mode == ModeRegister // registers default to zero
 }
 
-// Certify checks a read-only transaction's full result set against the
-// committed history at watermark w. A nil return means every read is
-// exactly the latest committed write at or below w — the transaction
-// read a single committed prefix and is serializable at position w.
-func (sh *Shadow) Certify(w uint64, reads []ReadObs) error {
+// certify checks a read-only transaction's full result set against
+// the committed history at watermark w. A nil return means every read
+// is exactly the latest committed write at or below w — the
+// transaction read a single committed prefix and is serializable at
+// position w.
+func (sh *shadow) certify(w uint64, reads []readObs) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if w < sh.baseSeq {
-		sh.failed++
 		return fmt.Errorf("mvcc: snapshot watermark %d below certifiable window (base %d): pin outlived GC bound", w, sh.baseSeq)
 	}
 	if w > sh.head {
-		sh.failed++
 		return fmt.Errorf("mvcc: snapshot watermark %d above committed head %d: read an uncommitted future", w, sh.head)
 	}
 	for _, r := range reads {
-		val, present := sh.lookupLocked(r.Key, w)
-		if r.Found != present || (present && r.Val != val) {
-			sh.failed++
+		val, present := sh.lookupLocked(r.key, w)
+		if r.found != present || (present && r.val != val) {
 			return fmt.Errorf("mvcc: read-only txn at watermark %d read key %d = (%d, found=%v), committed history says (%d, found=%v): not a committed prefix",
-				w, r.Key, r.Val, r.Found, val, present)
+				w, r.key, r.val, r.found, val, present)
 		}
 	}
-	sh.certified++
 	return nil
-}
-
-// CertStats returns how many read-only transactions were certified and
-// how many failed certification.
-func (sh *Shadow) CertStats() (certified, failed uint64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.certified, sh.failed
 }

@@ -62,10 +62,7 @@ type Replica struct {
 	coord      []shard.CommitRec
 	coordSess  map[uint64]recovery.SessionEntry
 	leaseEpoch uint64
-	mode       mvcc.Mode
-	stores     []*mvcc.Store     // per-shard committed version chains
-	certs      []*mvcc.Shadow    // per-shard independent read certifiers
-	folds      []*mvcc.DeltaFold // per-shard typed-counter delta resolution
+	stores     []*mvcc.Store // per-shard committed version chains and read certifiers
 
 	dups     uint64
 	gaps     uint64
@@ -77,19 +74,10 @@ type Replica struct {
 // NewReplica builds an empty replica for the given primary shape.
 func NewReplica(cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	r := &Replica{
-		cfg:    cfg,
-		router: shard.NewRouter(cfg.Shards),
-		mode:   mvcc.ModeFor(cfg.Substrate),
-	}
+	r := &Replica{cfg: cfg, router: shard.NewRouter(cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
 		r.streams = append(r.streams, &streamState{rp: recovery.NewReplayer()})
-		st := mvcc.NewStore(r.mode, cfg.Keys)
-		sh := mvcc.NewShadow(r.mode, cfg.Keys)
-		st.OnTruncate(sh.TrimTo)
-		r.stores = append(r.stores, st)
-		r.certs = append(r.certs, sh)
-		r.folds = append(r.folds, &mvcc.DeltaFold{})
+		r.stores = append(r.stores, mvcc.NewStore(mvcc.ModeFor(cfg.Substrate), cfg.Keys))
 	}
 	r.streams = append(r.streams, &streamState{}) // coordinator
 	return r
@@ -274,115 +262,44 @@ func (r *Replica) advanceCoord(st *streamState) error {
 	return nil
 }
 
-// foldNewLocked projects newly committed transactions of shard s onto
-// the per-shard MVCC version store at their recovery commit stamps,
-// mirroring the primary applier's projection (word substrates fold the
-// register image, map substrates fold the "ht" put/remove stream). The
-// replayer rejects stamp regressions as anomalies before this runs, so
-// Apply's commit-order precondition holds by construction.
+// foldNewLocked commits newly replayed transactions of shard s to the
+// per-shard version store at their recovery commit stamps — the same
+// Store.Commit the primary's applier calls, so both build identical
+// version chains. The replayer rejects stamp regressions as anomalies
+// before this runs, so Commit's commit-order precondition holds by
+// construction.
 func (r *Replica) foldNewLocked(s int, st *streamState) {
 	for _, t := range st.rp.CommittedSince(st.folded) {
 		st.chain = append(st.chain, t.Name)
-		var writes []mvcc.Write
-		for _, op := range t.Ops {
-			if w, ok := mvcc.TranslateOp(r.mode, op); ok {
-				writes = append(writes, w)
-			}
-		}
-		// Typed counter deltas resolve to absolutes under r.mu, in the
-		// replayer's commit-stamp order — the same fold the primary's
-		// applier runs, so both build identical version chains.
-		r.folds[s].Resolve(writes)
-		// Shadow first: Apply's GC may TrimTo the new watermark, and
-		// the certifier must already hold this commit by then.
-		r.certs[s].Append(t.Stamp, writes)
-		r.stores[s].Apply(t.Stamp, writes)
+		r.stores[s].Commit(t.Stamp, t.Ops)
 	}
 	st.folded = st.rp.CommittedLen()
 }
 
-// Get serves one key from a pinned snapshot of its home shard's
-// version store — the follower's stale-bounded read path. Word
+// Get serves one key from a pinned snapshot of the replica's version
+// stores — an uncertified single read for verification. Word
 // substrates always report found (a register's default value is 0),
 // map substrates report presence, matching the primary's semantics.
 func (r *Replica) Get(key uint64) (int64, bool) {
-	r.mu.Lock()
-	r.readTxns++
-	snap := r.stores[r.router.Shard(key)].Snapshot()
-	r.mu.Unlock()
-	defer snap.Close()
-	return snap.Get(key)
+	cut := r.SnapshotCut()
+	defer cut.Close()
+	return cut.Get(key)
 }
 
 // SnapshotCut pins one snapshot per shard under a single lock
 // acquisition — a consistent cut of the folded committed prefix,
-// stale-bounded but never straddling a half-applied batch — and
-// returns the per-shard certifiers the reads must be checked against.
-// The caller must Close every snapshot; until it does, GC holds every
-// version the cut can see.
-func (r *Replica) SnapshotCut() ([]*mvcc.Snapshot, []*mvcc.Shadow) {
+// stale-bounded but never straddling a half-applied batch. The caller
+// must Close it; until it does, GC holds every version the cut can
+// see.
+func (r *Replica) SnapshotCut() *mvcc.Cut {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.readTxns++
-	snaps := make([]*mvcc.Snapshot, r.cfg.Shards)
-	for i := 0; i < r.cfg.Shards; i++ {
-		snaps[i] = r.stores[i].Snapshot()
-	}
-	return snaps, r.certs
-}
-
-// Shard returns key's home shard (the router is immutable state).
-func (r *Replica) Shard(key uint64) int { return r.router.Shard(key) }
-
-// ReadTxn serves a read-only transaction from a pinned snapshot cut:
-// reads happen outside the replica lock, then every observed read is
-// certified against the shard's independent committed-history shadow.
-// A certification error means the version store diverged from the
-// shipped log — a bug, not a conflict — and the caller must refuse
-// the response rather than serve an unserializable read.
-func (r *Replica) ReadTxn(keys []uint64) (vals []int64, found []bool, err error) {
-	snaps, certs := r.SnapshotCut()
-	defer func() {
-		for _, sn := range snaps {
-			sn.Close()
-		}
-	}()
-	vals = make([]int64, len(keys))
-	found = make([]bool, len(keys))
-	perShard := make([][]mvcc.ReadObs, len(snaps))
-	for i, key := range keys {
-		s := r.router.Shard(key)
-		vals[i], found[i] = snaps[s].Get(key)
-		perShard[s] = append(perShard[s], mvcc.ReadObs{Key: key, Val: vals[i], Found: found[i]})
-	}
-	for s, reads := range perShard {
-		if len(reads) == 0 {
-			continue
-		}
-		if err := certs[s].Certify(snaps[s].Watermark(), reads); err != nil {
-			return nil, nil, fmt.Errorf("repl: shard %d: %w", s, err)
-		}
-	}
-	return vals, found, nil
+	return mvcc.Pin(r.stores, r.router.Shard)
 }
 
 // MVCCStats sums the per-shard version-store censuses.
-func (r *Replica) MVCCStats() mvcc.Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out mvcc.Stats
-	for _, st := range r.stores {
-		s := st.StoreStats()
-		out.Versions += s.Versions
-		out.Chains += s.Chains
-		out.SnapshotsOpen += s.SnapshotsOpen
-		out.Truncated += s.Truncated
-		if s.Watermark > out.Watermark {
-			out.Watermark = s.Watermark
-		}
-	}
-	return out
-}
+func (r *Replica) MVCCStats() mvcc.Stats { return mvcc.SumStats(r.stores) }
 
 // Watermark returns one stream's contiguous durable prefix — the ack
 // point a resending shipper resumes from.

@@ -2,12 +2,9 @@ package server
 
 import (
 	"errors"
-	"fmt"
 
-	"pushpull/internal/backend"
 	"pushpull/internal/kvapi"
 	"pushpull/internal/mvcc"
-	typedops "pushpull/internal/ops"
 	"pushpull/internal/repl"
 	"pushpull/internal/shard"
 )
@@ -35,89 +32,52 @@ func (s *Server) roleView() roleView {
 	return roleView{role: s.role, eng: s.eng, replica: s.replica, advertise: s.opts.Advertise}
 }
 
-// roTxn is one pinned read-only transaction: per-shard snapshots, the
-// independent certifiers the observed reads must pass before results
-// are released, and the read log itself. It takes no admission slot,
-// no substrate lock, and no retry budget — the read-only class cannot
-// conflict, so it cannot abort.
-type roTxn struct {
-	shardOf func(uint64) int
-	snaps   []*mvcc.Snapshot
-	certs   []*mvcc.Shadow
-	reads   [][]mvcc.ReadObs
-}
-
-// beginRO pins a read-only transaction against whatever this server
-// is right now. ok is false when there is no version store to serve
-// from (certification disabled) — the caller falls back to the normal
-// transactional path.
-func (s *Server) beginRO(rv roleView) (*roTxn, bool) {
+// pinCut pins a read-only transaction against whatever this server is
+// right now: the replica's cut on a follower, the engine's GSN-
+// consistent cut on a primary. ok is false when there is no version
+// store to serve from (certification disabled, or a follower with no
+// replica yet).
+func (s *Server) pinCut(rv roleView) (*mvcc.Cut, bool) {
 	switch {
 	case rv.follower() && rv.replica != nil:
-		snaps, certs := rv.replica.SnapshotCut()
-		return &roTxn{
-			shardOf: rv.replica.Shard,
-			snaps:   snaps, certs: certs,
-			reads: make([][]mvcc.ReadObs, len(snaps)),
-		}, true
+		return rv.replica.SnapshotCut(), true
 	case rv.eng != nil:
 		cut, err := rv.eng.SnapshotCut()
-		if err != nil {
-			return nil, false // ErrNoMVCC: certification disabled
-		}
-		return &roTxn{
-			shardOf: rv.eng.ShardOf,
-			snaps:   cut.Snaps(), certs: rv.eng.Certifiers(),
-			reads: make([][]mvcc.ReadObs, len(cut.Snaps())),
-		}, true
+		return cut, err == nil // ErrNoMVCC: certification disabled
 	}
 	return nil, false
 }
 
-// get reads key at the pinned snapshot and logs the observation for
-// certification at commit.
-func (t *roTxn) get(key uint64) (int64, bool) {
-	sid := t.shardOf(key)
-	val, found := t.snaps[sid].Get(key)
-	t.reads[sid] = append(t.reads[sid], mvcc.ReadObs{Key: key, Val: val, Found: found})
-	return val, found
-}
-
-// watermark condenses the pinned per-partition commit seqs into the
-// wire token (their max; per-shard stamps are independent sequences,
-// so this is an opaque recency witness, not a global order position).
-func (t *roTxn) watermark() uint64 {
-	var w uint64
-	for _, sn := range t.snaps {
-		if sw := sn.Watermark(); sw > w {
-			w = sw
+// allReads reports whether every op is a get or a cget — the only ops
+// a snapshot can answer.
+func allReads(ops []kvapi.Op) bool {
+	for _, op := range ops {
+		if op.Kind != kvapi.OpGet && op.Kind != kvapi.OpCGet {
+			return false
 		}
 	}
-	return w
+	return true
 }
 
-// certify checks every observed read against its partition's
-// independent committed-history shadow. An error here is not a
-// conflict — the read-only class has none — it means the version
-// store diverged from the committed log, and the response must be
-// refused rather than serve an unserializable read.
-func (t *roTxn) certify() error {
-	for sid, reads := range t.reads {
-		if len(reads) == 0 {
-			continue
-		}
-		if err := t.certs[sid].Certify(t.snaps[sid].Watermark(), reads); err != nil {
-			return fmt.Errorf("partition %d: %w", sid, err)
+// readCut is the one read-only executor: it answers ops (all reads)
+// from cut, certifies every answer, and only then releases them. It
+// serves flagged one-shots on either role and unflagged all-read
+// one-shots on a follower.
+func (s *Server) readCut(cut *mvcc.Cut, ops []kvapi.Op) kvapi.Response {
+	results := make([]kvapi.Result, len(ops))
+	for i, op := range ops {
+		if op.Kind == kvapi.OpCGet {
+			results[i] = kvapi.Result{Val: cut.Counter(op.Key), Found: true}
+		} else {
+			results[i].Val, results[i].Found = cut.Get(op.Key)
 		}
 	}
-	return nil
-}
-
-// close unpins every snapshot (idempotent).
-func (t *roTxn) close() {
-	for _, sn := range t.snaps {
-		sn.Close()
+	if err := cut.Certify(); err != nil {
+		s.suite.Metrics.ROAbort()
+		return kvapi.Response{Status: kvapi.StatusError, Msg: err.Error()}
 	}
+	s.suite.Metrics.ROCommit()
+	return kvapi.Response{Status: kvapi.StatusOK, Results: results, Snapshot: cut.Watermark()}
 }
 
 // errROWrite rejects a write inside the read-only class.
@@ -130,49 +90,16 @@ var errROWrite = errors.New("read-only transaction: writes rejected")
 // transactional path, which still answers it correctly, just without
 // the never-abort guarantee.
 func (s *Server) doTxnReadOnly(rv roleView, ops []kvapi.Op, session, seqNo uint64) kvapi.Response {
-	hasCGet := false
-	for _, op := range ops {
-		switch op.Kind {
-		case kvapi.OpGet:
-		case kvapi.OpCGet:
-			hasCGet = true
-		default:
-			s.suite.Metrics.ROAbort()
-			return kvapi.Response{Status: kvapi.StatusError, Msg: errROWrite.Error()}
-		}
+	if !allReads(ops) {
+		s.suite.Metrics.ROAbort()
+		return kvapi.Response{Status: kvapi.StatusError, Msg: errROWrite.Error()}
 	}
-	if hasCGet && !backend.TypedNative(s.opts.Substrate) {
-		// Word-family substrates keep typed counters in the plain
-		// register array, not the ops.KeyBit fold namespace the
-		// snapshot read below would consult — answer on the normal
-		// transactional path (the replica's image on a follower), which
-		// reads the registers directly.
-		return s.doTxnSession(rv, ops, session, seqNo)
-	}
-	tx, ok := s.beginRO(rv)
+	cut, ok := s.pinCut(rv)
 	if !ok {
 		return s.doTxnSession(rv, ops, session, seqNo)
 	}
-	defer tx.close()
-	results := make([]kvapi.Result, len(ops))
-	for i, op := range ops {
-		if op.Kind == kvapi.OpCGet {
-			// Committed counter cells fold into the version store under
-			// the high-bit namespace; an absent cell reads as 0, the
-			// same answer the typed substrate gives.
-			val, _ := tx.get(typedops.KeyBit | op.Key)
-			results[i] = kvapi.Result{Val: val, Found: true}
-			continue
-		}
-		val, found := tx.get(op.Key)
-		results[i] = kvapi.Result{Val: val, Found: found}
-	}
-	if err := tx.certify(); err != nil {
-		s.suite.Metrics.ROAbort()
-		return kvapi.Response{Status: kvapi.StatusError, Msg: err.Error()}
-	}
-	s.suite.Metrics.ROCommit()
-	return kvapi.Response{Status: kvapi.StatusOK, Results: results, Snapshot: tx.watermark()}
+	defer cut.Close()
+	return s.readCut(cut, ops)
 }
 
 // doBeginRO opens an interactive read-only transaction: the snapshot
@@ -185,18 +112,18 @@ func (s *Server) doBeginRO(cs *connState, rv roleView) kvapi.Response {
 	if cs.open() {
 		return kvapi.Response{Status: kvapi.StatusError, Msg: "transaction already open on this connection"}
 	}
-	tx, ok := s.beginRO(rv)
+	cut, ok := s.pinCut(rv)
 	if !ok {
 		return s.doBegin(cs, rv) // certification disabled: normal interactive txn (a follower redirects)
 	}
-	cs.ro = tx
+	cs.ro = cut
 	s.sessions.Add(1)
-	return kvapi.Response{Status: kvapi.StatusOK, Snapshot: tx.watermark()}
+	return kvapi.Response{Status: kvapi.StatusOK, Snapshot: cut.Watermark()}
 }
 
 // endROSession releases what doBeginRO acquired (no gate slot).
 func (s *Server) endROSession(cs *connState) {
-	cs.ro.close()
+	cs.ro.Close()
 	cs.ro = nil
 	s.sessions.Add(-1)
 }
@@ -210,7 +137,7 @@ func (s *Server) doOpRO(cs *connState, req kvapi.Request) kvapi.Response {
 		s.endROSession(cs)
 		return kvapi.Response{Status: kvapi.StatusError, Msg: errROWrite.Error()}
 	}
-	val, found := cs.ro.get(req.Key)
+	val, found := cs.ro.Get(req.Key)
 	return kvapi.Response{Status: kvapi.StatusOK, Results: []kvapi.Result{{Val: val, Found: found}}}
 }
 
@@ -218,11 +145,11 @@ func (s *Server) doOpRO(cs *connState, req kvapi.Request) kvapi.Response {
 // cannot fail for conflict reasons; a certification error means the
 // server's own store diverged and the response says so.
 func (s *Server) doEndRO(cs *connState, commit bool) kvapi.Response {
-	tx := cs.ro
-	w := tx.watermark()
+	cut := cs.ro
+	w := cut.Watermark()
 	var err error
 	if commit {
-		err = tx.certify()
+		err = cut.Certify()
 	}
 	s.endROSession(cs)
 	if !commit {

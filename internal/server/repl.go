@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pushpull/internal/kvapi"
-	typedops "pushpull/internal/ops"
 	"pushpull/internal/repl"
 	"pushpull/internal/shard"
 )
@@ -155,45 +154,26 @@ func (s *Server) redirectResponse(addr string) kvapi.Response {
 	}
 }
 
-// doTxnFollower serves an unflagged all-Get one-shot from the
-// replica's pinned snapshots — a consistent (stale-bounded) certified
-// cut. Any write redirects the whole transaction to the primary.
-// (Clients that declare ReadOnly skip this path and the gate both.)
+// doTxnFollower serves an unflagged all-read one-shot from the
+// replica's pinned cut — a consistent (stale-bounded) certified
+// snapshot — under the admission gate. Any write redirects the whole
+// transaction to the primary. (Clients that declare ReadOnly skip this
+// path and the gate both.)
 func (s *Server) doTxnFollower(rv roleView, ops []kvapi.Op) kvapi.Response {
 	ok, hint := s.gate.acquire()
 	if !ok {
 		return busyResponse(hint)
 	}
 	defer s.gate.release()
-	keys := make([]uint64, len(ops))
-	cget := make([]bool, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case kvapi.OpGet:
-			keys[i] = op.Key
-		case kvapi.OpCGet:
-			// Committed counter cells fold into the follower's read
-			// image under the high-bit namespace.
-			keys[i] = typedops.KeyBit | op.Key
-			cget[i] = true
-		default:
-			return s.redirectResponse(rv.advertise)
-		}
+	if !allReads(ops) {
+		return s.redirectResponse(rv.advertise)
 	}
-	vals, found, err := rv.replica.ReadTxn(keys)
-	if err != nil {
-		return kvapi.Response{Status: kvapi.StatusError, Msg: err.Error()}
+	cut, ok := s.pinCut(rv)
+	if !ok {
+		return s.redirectResponse(rv.advertise)
 	}
-	results := make([]kvapi.Result, len(ops))
-	for i := range ops {
-		results[i] = kvapi.Result{Val: vals[i], Found: found[i]}
-		if cget[i] {
-			// An absent counter cell reads as 0, matching the typed
-			// substrate's answer.
-			results[i].Found = true
-		}
-	}
-	return kvapi.Response{Status: kvapi.StatusOK, Results: results}
+	defer cut.Close()
+	return s.readCut(cut, ops)
 }
 
 // doReplPoll answers a follower's cursor read over one durable stream.

@@ -323,7 +323,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // transaction or a read-only snapshot transaction — never both.
 type connState struct {
 	stx *shard.Txn
-	ro  *roTxn
+	ro  *mvcc.Cut
 }
 
 func (cs *connState) open() bool { return cs.stx != nil || cs.ro != nil }

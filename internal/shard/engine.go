@@ -13,6 +13,7 @@ import (
 	"pushpull/internal/backend"
 	"pushpull/internal/chaos"
 	"pushpull/internal/core"
+	"pushpull/internal/mvcc"
 	"pushpull/internal/obs"
 	typedops "pushpull/internal/ops"
 	"pushpull/internal/seq"
@@ -126,6 +127,7 @@ type Engine struct {
 	suite  *obs.Suite
 	router Router
 	shards []*shardState
+	stores []*mvcc.Store // per-shard version stores; nil when certification is disabled
 	coord  *CoordLog
 	inj    *chaos.Faults // coordinator-site injector (base plan)
 
@@ -370,6 +372,7 @@ func New(opts Options) (_ *Engine, err error) {
 		}
 		if store := be.Snapshots(); store != nil {
 			store.SetObserver(suite.Metrics)
+			e.stores = append(e.stores, store)
 		}
 	}
 

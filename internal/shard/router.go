@@ -27,8 +27,9 @@ import "pushpull/internal/ops"
 //
 // The ops.KeyBit fold namespace is masked off first: a typed counter's
 // MVCC cell (KeyBit|k) is a per-shard artifact of the typed operations
-// on k, so it must route to k's home shard — snapshot and follower
-// reads of KeyBit|k consult the shard whose applier folds it.
+// on k, so a read of the cell key itself routes to k's home shard, the
+// one that folds it. Client keys never carry the bit (kvapi refuses
+// them).
 func ShardOf(key uint64, n int) int {
 	if n <= 1 {
 		return 0

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 
 	"pushpull/internal/mvcc"
 )
@@ -21,10 +20,7 @@ var ErrNoMVCC = errors.New("shard: no snapshot store (certification disabled)")
 // of G. Single-shard commits interleave freely, but they order only
 // within their own shard's chain, so any cut of per-shard prefixes
 // containing them is still consistent.
-type Cut struct {
-	eng   *Engine
-	snaps []*mvcc.Snapshot
-}
+type Cut = mvcc.Cut
 
 // SnapshotCut pins one snapshot per shard at a GSN-consistent point.
 // The caller must Close it. Under the mutex coordinator, commitMu
@@ -34,6 +30,9 @@ type Cut struct {
 // observes an epoch's transaction on some participant shards but not
 // others.
 func (e *Engine) SnapshotCut() (*Cut, error) {
+	if e.stores == nil {
+		return nil, ErrNoMVCC
+	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	if e.seqr != nil {
@@ -48,115 +47,9 @@ func (e *Engine) SnapshotCut() (*Cut, error) {
 			e.cutMu.Unlock()
 		}()
 	}
-	snaps := make([]*mvcc.Snapshot, len(e.shards))
-	for i, st := range e.shards {
-		store := st.be.Snapshots()
-		if store == nil {
-			for _, sn := range snaps[:i] {
-				sn.Close()
-			}
-			return nil, ErrNoMVCC
-		}
-		snaps[i] = store.Snapshot()
-	}
-	return &Cut{eng: e, snaps: snaps}, nil
-}
-
-// Get reads key at the cut, routed to its home shard's snapshot.
-func (c *Cut) Get(key uint64) (int64, bool) {
-	return c.snaps[c.eng.router.Shard(key)].Get(key)
-}
-
-// Watermark returns the pinned commit seq of shard sid's snapshot
-// (per-shard stamps are independent sequences; there is no single
-// cross-shard watermark, the cut itself is the consistency token).
-func (c *Cut) Watermark(sid int) uint64 { return c.snaps[sid].Watermark() }
-
-// Snaps exposes the per-shard pinned snapshots (index = shard id) for
-// callers composing their own read loop over the cut.
-func (c *Cut) Snaps() []*mvcc.Snapshot { return c.snaps }
-
-// ShardOf returns key's home shard.
-func (e *Engine) ShardOf(key uint64) int { return e.router.Shard(key) }
-
-// Certifiers returns the per-shard snapshot-read certifiers, nil when
-// certification is disabled.
-func (e *Engine) Certifiers() []*mvcc.Shadow {
-	out := make([]*mvcc.Shadow, len(e.shards))
-	for i, st := range e.shards {
-		sh := st.be.SnapshotCert()
-		if sh == nil {
-			return nil
-		}
-		out[i] = sh
-	}
-	return out
-}
-
-// Close releases every pin. Idempotent per snapshot.
-func (c *Cut) Close() {
-	for _, sn := range c.snaps {
-		sn.Close()
-	}
-}
-
-// DoReadOnly runs ops as one read-only snapshot transaction over a
-// GSN-consistent cut: zero locks, zero validation, zero retries, and
-// every observed read certified against the per-shard committed
-// history before the results are released. Write ops are rejected —
-// the read-only class is PULL-only by definition.
-func (e *Engine) DoReadOnly(ops []Op) ([]Result, error) {
-	if e.fenced.Load() {
-		return nil, ErrFenced
-	}
-	cut, err := e.SnapshotCut()
-	if err != nil {
-		return nil, err
-	}
-	defer cut.Close()
-	results := make([]Result, len(ops))
-	perShard := make([][]mvcc.ReadObs, len(e.shards))
-	for i, op := range ops {
-		if op.Kind != OpGet {
-			return nil, fmt.Errorf("shard: read-only transaction carries a write (op %d)", i)
-		}
-		sid := e.router.Shard(op.Key)
-		val, found := cut.snaps[sid].Get(op.Key)
-		results[i] = Result{Val: val, Found: found}
-		perShard[sid] = append(perShard[sid], mvcc.ReadObs{Key: op.Key, Val: val, Found: found})
-	}
-	for sid, reads := range perShard {
-		if len(reads) == 0 {
-			continue
-		}
-		cert := e.shards[sid].be.SnapshotCert()
-		if cert == nil {
-			return nil, ErrNoMVCC
-		}
-		if err := cert.Certify(cut.snaps[sid].Watermark(), reads); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sid, err)
-		}
-	}
-	return results, nil
+	return mvcc.Pin(e.stores, e.router.Shard), nil
 }
 
 // MVCCStats sums the per-shard version store censuses (zero when
 // certification is disabled).
-func (e *Engine) MVCCStats() mvcc.Stats {
-	var out mvcc.Stats
-	for _, st := range e.shards {
-		store := st.be.Snapshots()
-		if store == nil {
-			continue
-		}
-		s := store.StoreStats()
-		out.Versions += s.Versions
-		out.Chains += s.Chains
-		out.SnapshotsOpen += s.SnapshotsOpen
-		out.Truncated += s.Truncated
-		if s.Watermark > out.Watermark {
-			out.Watermark = s.Watermark
-		}
-	}
-	return out
-}
+func (e *Engine) MVCCStats() mvcc.Stats { return mvcc.SumStats(e.stores) }

@@ -41,20 +41,28 @@ func TestSnapshotCutNeverTorn(t *testing.T) {
 		}
 	}()
 
-	// Two reader flavors racing the writer: the composed DoReadOnly
-	// path (pin, read, certify) and a raw SnapshotCut with Cut.Get.
+	// Two reader flavors racing the writer: a certified read-only
+	// transaction (pin, read, Certify) and a raw SnapshotCut with
+	// Cut.Get alone.
 	for done := false; !done; {
 		select {
 		case err := <-writeErr:
 			t.Fatalf("writer: %v", err)
 		default:
 		}
-		res, err := e.DoReadOnly([]Op{{Kind: OpGet, Key: k1}, {Kind: OpGet, Key: k2}})
+		ro, err := e.SnapshotCut()
 		if err != nil {
-			t.Fatalf("DoReadOnly: %v", err)
+			t.Fatalf("SnapshotCut: %v", err)
 		}
-		if res[0].Val != res[1].Val {
-			t.Fatalf("torn snapshot read: %d != %d", res[0].Val, res[1].Val)
+		r1, _ := ro.Get(k1)
+		r2, _ := ro.Get(k2)
+		err = ro.Certify()
+		ro.Close()
+		if err != nil {
+			t.Fatalf("certify: %v", err)
+		}
+		if r1 != r2 {
+			t.Fatalf("torn snapshot read: %d != %d", r1, r2)
 		}
 		cut, err := e.SnapshotCut()
 		if err != nil {
@@ -70,27 +78,9 @@ func TestSnapshotCutNeverTorn(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The stores saw real churn and the certifiers passed every read.
-	if s := e.MVCCStats(); s.Watermark == 0 || s.Versions == 0 {
-		t.Fatalf("mvcc stats empty after campaign: %+v", s)
-	}
-	for sid, sh := range e.Certifiers() {
-		if _, failed := sh.CertStats(); failed != 0 {
-			t.Fatalf("shard %d: %d snapshot reads failed certification", sid, failed)
-		}
-	}
-	finishEngine(t, e)
-}
-
-// TestDoReadOnlyRejectsWrites pins the class boundary at the engine:
-// a write op inside a read-only transaction is refused outright.
-func TestDoReadOnlyRejectsWrites(t *testing.T) {
-	e := newTestEngine(t, Options{Shards: 2, Substrate: "tl2"})
-	if _, err := e.DoReadOnly([]Op{{Kind: OpPut, Key: 1, Val: 2}}); err == nil {
-		t.Fatal("read-only transaction accepted a write")
-	}
-	if s := e.MVCCStats(); s.SnapshotsOpen != 0 {
-		t.Fatalf("rejected read-only txn leaked %d pins", s.SnapshotsOpen)
+	// The stores saw real churn and every pin was released.
+	if s := e.MVCCStats(); s.Watermark == 0 || s.Versions == 0 || s.SnapshotsOpen != 0 {
+		t.Fatalf("mvcc stats after campaign: %+v", s)
 	}
 	finishEngine(t, e)
 }

@@ -208,40 +208,22 @@ func (rt *Runtime) Atomic(name string, fn func(*Txn) error) error {
 	}
 }
 
-// BaseMap is the linearizable object a boosted map or set wraps —
-// Figure 2's "ConcurrentSkipListMap" slot. internal/skiplist (lazy
-// skiplist) and internal/stripedmap (lock-striped hash table) both
-// satisfy it; any other linearizable map does too.
-type BaseMap interface {
-	Put(key, value int64) (old int64, existed bool)
-	Get(key int64) (int64, bool)
-	Remove(key int64) (old int64, existed bool)
-	Contains(key int64) bool
-	Len() int
-	Range(f func(key, value int64) bool)
-}
-
 // Map is a boosted hashtable over a linearizable base object (Figure
 // 2's BoostedConcurrentHashTable backed by a ConcurrentSkipListMap).
 type Map struct {
 	rt   *Runtime
-	base BaseMap
+	base *skiplist.Map
 	// Name is the certification object name (an adt.Map binding).
 	Name string
 }
 
 // NewMap builds a boosted map over a fresh concurrent skiplist.
 func NewMap(rt *Runtime, name string, seed int64) *Map {
-	return NewMapOn(rt, name, skiplist.New(seed))
-}
-
-// NewMapOn builds a boosted map over the given linearizable base.
-func NewMapOn(rt *Runtime, name string, base BaseMap) *Map {
-	return &Map{rt: rt, base: base, Name: name}
+	return &Map{rt: rt, base: skiplist.New(seed), Name: name}
 }
 
 // Base exposes the underlying linearizable map (quiescent verification).
-func (m *Map) Base() BaseMap { return m.base }
+func (m *Map) Base() *skiplist.Map { return m.base }
 
 // Put maps key→value inside t, returning the previous value (present
 // reports whether one existed).
@@ -304,23 +286,18 @@ func (m *Map) Remove(t *Txn, key int64) (old int64, present bool, err error) {
 // BoostedConcurrentSkipList Set).
 type Set struct {
 	rt   *Runtime
-	base BaseMap
+	base *skiplist.Map
 	// Name is the certification object name (an adt.Set binding).
 	Name string
 }
 
 // NewSet builds a boosted set over a fresh concurrent skiplist.
 func NewSet(rt *Runtime, name string, seed int64) *Set {
-	return NewSetOn(rt, name, skiplist.New(seed))
-}
-
-// NewSetOn builds a boosted set over the given linearizable base.
-func NewSetOn(rt *Runtime, name string, base BaseMap) *Set {
-	return &Set{rt: rt, base: base, Name: name}
+	return &Set{rt: rt, base: skiplist.New(seed), Name: name}
 }
 
 // Base exposes the underlying linearizable map.
-func (s *Set) Base() BaseMap { return s.base }
+func (s *Set) Base() *skiplist.Map { return s.base }
 
 // Add inserts key inside t; inserted reports whether it was new.
 func (s *Set) Add(t *Txn, key int64) (inserted bool, err error) {
