@@ -89,10 +89,10 @@ func TestFacadeDriversAndSchedulers(t *testing.T) {
 func TestFacadeRecorder(t *testing.T) {
 	reg := pushpull.StandardRegistry()
 	rec := pushpull.NewRecorder(reg)
-	if ok := rec.AtomicTxn("w", []pushpull.OpRecord{
+	if err := rec.AtomicTxn("w", []pushpull.OpRecord{
 		{Obj: "mem", Method: "write", Args: []int64{0, 7}, Ret: 0},
-	}); !ok {
-		t.Fatal(rec.Err())
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if err := rec.FinalCheck(); err != nil {
 		t.Fatal(err)

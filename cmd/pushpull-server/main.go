@@ -41,8 +41,7 @@ func main() {
 	batchInterval := flag.Duration("batch-interval", 0, "sequencer accumulation window under -seq (0 = adaptive group commit)")
 	seed := flag.Int64("seed", 1, "retry/chaos seed")
 	walDir := flag.String("wal-dir", "", "WAL directory (empty: in-memory durability only)")
-	sync := flag.String("sync", "commit", "WAL sync policy: commit (one fsync per group-commit barrier, outside every lock) | record | group | none")
-	groupEvery := flag.Int("group-every", 32, "records per sync under -sync group")
+	sync := flag.String("sync", "commit", "WAL sync policy: commit (one fsync per group-commit barrier, outside every lock) | none (no fsync; a crash may lose acknowledged commits)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently running transactions")
 	maxQueue := flag.Int("max-queue", 128, "max admission-queue depth (beyond it: StatusBusy)")
 	chaosRate := flag.Float64("chaos-rate", 0, "per-site fault probability injected server-side")
@@ -63,7 +62,7 @@ func main() {
 		Seq: *seqMode, BatchInterval: *batchInterval,
 		DisableCert: *noCert,
 		MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-		WALDir: *walDir, SyncPolicy: policy, GroupEvery: *groupEvery,
+		WALDir: *walDir, SyncPolicy: policy,
 		Replicate: *replicate, Follow: *follow, Advertise: *advertise,
 		Epoch: *epoch,
 	}

@@ -85,11 +85,10 @@ func (g *GroupCommit) Stats() (barriers, syncs uint64) {
 
 var _ core.Durable = (*GroupCommit)(nil)
 
-// ForceSync adapts a non-syncing log (opened SyncNever so appends never
-// fsync inside substrate locks) into a barrier that forces the log:
-// log-force-at-commit durability, run only by the group-commit leader.
-// A crashed log acks like CommitBarrier does — the simulated process is
-// dead and recovery certifies the durable prefix.
+// ForceSync adapts a log into a barrier that forces it whatever its
+// sync policy — log force at commit even on a SyncNever log. A crashed
+// log acks like CommitBarrier does — the simulated process is dead and
+// recovery certifies the durable prefix.
 func ForceSync(l *wal.Log) core.Durable { return forceSync{l: l} }
 
 type forceSync struct{ l *wal.Log }

@@ -20,14 +20,6 @@ import (
 // commit-order serializability, return-value validation) with every
 // pushed-but-uncommitted transaction discarded.
 
-// CrashPolicyFor varies the sync policy across seeds so a sweep covers
-// every durability mode, including the SyncNever fast path (where a
-// crash legitimately loses everything unsynced).
-func CrashPolicyFor(seed int64) wal.SyncPolicy {
-	policies := []wal.SyncPolicy{wal.SyncEveryRecord, wal.SyncOnCommit, wal.SyncGroup, wal.SyncNever}
-	return policies[uint64(seed)%uint64(len(policies))]
-}
-
 // estimatedAppends is the rough WAL record count a target's workload
 // produces, used only to place the scheduled crash somewhere inside
 // the run. Overshooting is harmless: the crash never fires and the
@@ -82,8 +74,10 @@ func CertRegistryFor(target string) *spec.Registry {
 
 // CrashDetail is what a crash-recovery run adds to its Outcome.
 type CrashDetail struct {
-	// Policy is the WAL sync policy the seed selected.
+	// Policy is the WAL sync policy the run used; Mode is the plan's
+	// crash mode (clean, torn or bitflip).
 	Policy string `json:"policy"`
+	Mode   string `json:"mode"`
 	// Crashed reports whether the scheduled death actually fired (a
 	// short run may finish before reaching the append index).
 	Crashed bool `json:"crashed"`
@@ -113,15 +107,14 @@ func RunCrashOne(target string, seed int64, p ChaosParams) Outcome {
 	p = p.WithDefaults()
 	plan := CrashPlanFor(target, seed, p)
 	inj := plan.Injector()
-	pol := CrashPolicyFor(seed)
-	opts := wal.Options{Policy: pol, GroupEvery: 8, SegmentBytes: 8 << 10, Chaos: inj}
+	opts := wal.Options{SegmentBytes: 8 << 10, Chaos: inj}
 	if p.Obs != nil {
 		opts.SyncObserver = p.Obs.Metrics.WALSyncObserved
 	}
 	log := wal.MustOpen(opts)
 	p.WAL = log
 
-	d := &CrashDetail{Policy: pol.String()}
+	d := &CrashDetail{Policy: opts.Policy.String(), Mode: plan.CrashMode.String()}
 	out := Outcome{Target: target, Seed: seed, Plan: plan.String(), CrashDetail: d}
 	runErr := runTarget(target, seed, p, inj, &out)
 	d.Crashed = log.Crashed()

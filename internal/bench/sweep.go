@@ -66,15 +66,6 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// recipe is what replays the run: the plan, plus the sync policy a
-// crash run derived from the seed.
-func (o Outcome) recipe() string {
-	if o.CrashDetail != nil {
-		return o.Plan + " policy=" + o.Policy
-	}
-	return o.Plan
-}
-
 // count is one named kind-specific tally of a run (or, summed, of a
 // target's runs).
 type count struct {
@@ -99,7 +90,8 @@ func (o Outcome) counts() []count {
 	if c := o.CrashDetail; c != nil {
 		cs = append(cs, count{"crashed", b2u(c.Crashed)},
 			count{"recovered", uint64(c.Recovered)}, count{"discarded", uint64(c.Discarded)},
-			count{"truncated", b2u(c.Truncated)})
+			count{"truncated", b2u(c.Truncated)},
+			count{"clean_discards", b2u(c.Mode == chaos.CrashClean.String() && c.Discarded > 0)})
 	}
 	if f := o.FailoverDetail; f != nil {
 		cs = append(cs, count{"crashes", b2u(f.CrashFired)},
@@ -128,7 +120,7 @@ func (o Outcome) String() string {
 		status = fmt.Sprintf("FAIL: %v", o.Err)
 	}
 	return fmt.Sprintf("%-8s %s  faults=%s  commits=%d aborts=%d gaveup=%d %s  %s",
-		o.Target, o.recipe(), o.Faults, o.Commits, o.Aborts, o.GaveUp, notes(o.counts()), status)
+		o.Target, o.Plan, o.Faults, o.Commits, o.Aborts, o.GaveUp, notes(o.counts()), status)
 }
 
 // Sweep runs p.Seeds plan seeds over every target through run
@@ -168,10 +160,10 @@ func Sweep(p ChaosParams, run func(target string, seed int64, p ChaosParams) Out
 			}
 			failed++
 			if firstFail == "" {
-				firstFail = fmt.Sprintf("\nFAIL %s %s: %v\n", target, o.recipe(), o.Err)
+				firstFail = fmt.Sprintf("\nFAIL %s %s: %v\n", target, o.Plan, o.Err)
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s seed %d: %w (replay: %s)", target, o.Seed, o.Err, o.recipe())
+				firstErr = fmt.Errorf("%s seed %d: %w (replay: %s)", target, o.Seed, o.Err, o.Plan)
 			}
 		}
 		fails += firstFail

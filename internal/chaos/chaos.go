@@ -79,6 +79,11 @@ const (
 	// released: recovery must roll the transaction forward on every
 	// participant from the journaled write-sets.
 	SiteCoordCommit Site = "coord/commit"
+	// SiteTL2SkipRevalidate is a protocol break, not a fault: a firing
+	// makes one TL2 commit skip its read-set validation, so a stale read
+	// reaches the certifier and must be refused there. It is absent
+	// from Sites() — only a plan that names it turns it on.
+	SiteTL2SkipRevalidate Site = "tl2/skip-revalidate"
 )
 
 // Sites lists every injection site, for sweep tooling.
@@ -95,10 +100,11 @@ type CrashMode int
 
 // Crash modes.
 const (
-	// CrashClean loses exactly the unsynced suffix: the surviving image
-	// is the synced prefix, record-aligned.
+	// CrashClean keeps the synced prefix plus a seed-chosen count of the
+	// whole unsynced records after it (never the in-flight one): the
+	// image is record-aligned, and may stop inside a transaction.
 	CrashClean CrashMode = iota
-	// CrashTorn additionally persists an arbitrary prefix of the
+	// CrashTorn persists the synced prefix plus an arbitrary prefix of the
 	// unsynced bytes (including the in-flight record) — the torn-write
 	// case recovery must truncate, not fatally reject.
 	CrashTorn
@@ -254,15 +260,6 @@ func (s Stats) TotalInjected() uint64 {
 	var n uint64
 	for _, c := range s.Counts {
 		n += c.Injected
-	}
-	return n
-}
-
-// TotalVisits sums site visits.
-func (s Stats) TotalVisits() uint64 {
-	var n uint64
-	for _, c := range s.Counts {
-		n += c.Visits
 	}
 	return n
 }

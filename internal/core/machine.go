@@ -278,17 +278,6 @@ func (m *Machine) GlobalCommitted() spec.Log {
 	return out
 }
 
-// GlobalUncommitted projects ⌊G⌋gUCmt.
-func (m *Machine) GlobalUncommitted() spec.Log {
-	var out spec.Log
-	for _, e := range m.global {
-		if !e.Committed {
-			out = append(out, e.Op)
-		}
-	}
-	return out
-}
-
 // GlobalEntries returns a copy of the raw global log.
 func (m *Machine) GlobalEntries() []GEntry {
 	return append([]GEntry(nil), m.global...)

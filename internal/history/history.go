@@ -98,18 +98,21 @@ func Load(r io.Reader) (*File, error) {
 	return &f, nil
 }
 
-// ReplayReport summarizes an offline certification.
+// ReplayReport summarizes an offline certification: the certified
+// count, the exact violation count, and the violations the recorder
+// retained (the first and the most recent).
 type ReplayReport struct {
 	Certified  int
+	Refused    int
 	Violations []trace.Violation
 }
 
 // Err returns nil iff every transaction certified.
 func (r ReplayReport) Err() error {
-	if len(r.Violations) == 0 {
+	if r.Refused == 0 {
 		return nil
 	}
-	return fmt.Errorf("history: %d violations; first: %v", len(r.Violations), r.Violations[0])
+	return fmt.Errorf("history: %d violations; first: %v", r.Refused, r.Violations[0])
 }
 
 // Replay re-certifies the recorded history on a fresh shadow machine:
@@ -127,7 +130,7 @@ func Replay(f *File) (ReplayReport, error) {
 	for _, txn := range f.Txns {
 		rec.AtomicTxn(txn.Name, txn.Ops)
 	}
-	rep := ReplayReport{Certified: rec.Commits(), Violations: rec.Violations()}
+	rep := ReplayReport{Certified: rec.Commits(), Refused: rec.ViolationCount(), Violations: rec.Violations()}
 	if err := rec.FinalCheck(); err != nil && len(rep.Violations) == 0 {
 		return rep, err
 	}

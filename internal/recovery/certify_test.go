@@ -24,7 +24,7 @@ func CertifyByMachine(s State, reg *spec.Registry) error {
 		for i, op := range t.Ops {
 			ops[i] = trace.OpRecord{Obj: op.Obj, Method: op.Method, Args: op.Args, Ret: op.Ret}
 		}
-		if !rec.AtomicTxn(t.Name, ops) {
+		if rec.AtomicTxn(t.Name, ops) != nil {
 			return fmt.Errorf("replay of txn %q (stamp %d) failed certification: %w", t.Name, t.Stamp, rec.Err())
 		}
 	}

@@ -184,20 +184,6 @@ func Recover(segs [][]byte) Report {
 	return snap
 }
 
-// RecoverLog recovers from a live (possibly crashed) Log's durable
-// segment images.
-func RecoverLog(l *wal.Log) Report { return Recover(l.Segments()) }
-
-// RecoverDir recovers from the on-disk segment files of a file-backed
-// log.
-func RecoverDir(dir string) (Report, error) {
-	segs, err := wal.ReadDir(dir)
-	if err != nil {
-		return Report{}, err
-	}
-	return Recover(segs), nil
-}
-
 // ReLog re-encodes a recovered state as fresh WAL segment images: each
 // transaction's operations as PUSH records followed by its CMT. This
 // is the write path recovery would use to checkpoint its result, and

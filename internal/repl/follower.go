@@ -88,13 +88,6 @@ func (p *Puller) Lag() []uint64 {
 	return append([]uint64(nil), p.lag...)
 }
 
-// Cursors snapshots the per-stream poll cursors.
-func (p *Puller) Cursors() []Cursor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Cursor(nil), p.cur...)
-}
-
 // Sync drains every stream's available durable bytes from src into the
 // replica, advancing cursors and refreshing the lag gauges. It returns
 // the bytes applied. A fenced replica surfaces ErrFenced; unrepairable

@@ -33,7 +33,7 @@ func TestReplayIdempotence(t *testing.T) {
 			g.Add(duped, 33, 0, 0.6, 0)
 
 			log := wal.MustOpen(wal.Options{
-				Policy: wal.SyncEveryRecord, SegmentBytes: 2 << 10,
+				Policy: wal.SyncOnCommit, SegmentBytes: 2 << 10,
 				OnDurable: func(seg, off int, data []byte) { g.Ship(0, seg, off, data) },
 			})
 			be, err := backend.NewBackend(backend.Config{

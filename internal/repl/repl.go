@@ -13,7 +13,7 @@
 //     no separate replication state machine to keep honest.
 //
 //  2. Durability has a single choke point: every byte becomes durable
-//     inside one barrier (wal.Log/CoordLog syncLocked), and the commit
+//     inside one barrier (wal.Segment.syncLocked), and the commit
 //     ack happens strictly after. Shipping synchronously at that seam
 //     (shard.Options.Ship → Group.Ship) makes "no acknowledged commit
 //     is lost on failover" structural: by the time any client sees OK,

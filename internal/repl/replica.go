@@ -251,7 +251,7 @@ func (r *Replica) advanceCoord(st *streamState) error {
 	r.coordSess = cr.Sessions
 	r.leaseEpoch = cr.LeaseEpoch
 	st.folded = len(cr.Commits)
-	st.rawRecs = shard.CountCoordRecords(st.segs[0])
+	st.rawRecs = cr.Records
 	if cr.Epoch > r.epoch {
 		r.epoch = cr.Epoch
 	}

@@ -22,7 +22,7 @@ func TestServerCrashRestart(t *testing.T) {
 			plan := chaos.NewPlan(42).WithCrash(25, chaos.CrashClean)
 			s1, err := New(Options{
 				Substrate: sub, Keys: 64, Seed: 42,
-				Durable: true, SyncPolicy: wal.SyncEveryRecord,
+				Durable: true, SyncPolicy: wal.SyncOnCommit,
 				Plan: &plan,
 			})
 			if err != nil {
@@ -73,7 +73,7 @@ func TestServerCrashRestart(t *testing.T) {
 			// the re-certification assertion.
 			s2, err := New(Options{
 				Substrate: sub, Keys: 64, Seed: 42,
-				Durable: true, SyncPolicy: wal.SyncEveryRecord,
+				Durable: true, SyncPolicy: wal.SyncOnCommit,
 				RecoverFrom: img,
 			})
 			if err != nil {
@@ -137,7 +137,7 @@ func TestServerCrashRestartOnDisk(t *testing.T) {
 	plan := chaos.NewPlan(7).WithCrash(20, chaos.CrashClean)
 	s1, err := New(Options{
 		Substrate: "tl2", Keys: 64, Seed: 7,
-		WALDir: dir, SyncPolicy: wal.SyncEveryRecord,
+		WALDir: dir, SyncPolicy: wal.SyncOnCommit,
 		Plan: &plan,
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestServerCrashRestartOnDisk(t *testing.T) {
 	// segments are read off disk, certified, archived, re-seeded.
 	s2, err := New(Options{
 		Substrate: "tl2", Keys: 64, Seed: 7,
-		WALDir: dir, SyncPolicy: wal.SyncEveryRecord,
+		WALDir: dir, SyncPolicy: wal.SyncOnCommit,
 	})
 	if err != nil {
 		t.Fatalf("restart from dir: %v", err)

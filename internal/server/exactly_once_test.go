@@ -18,7 +18,7 @@ import (
 func TestServerSessionDedupSurvivesRestart(t *testing.T) {
 	s1, err := New(Options{
 		Substrate: "tl2", Keys: 32, Seed: 42,
-		Durable: true, SyncPolicy: wal.SyncEveryRecord,
+		Durable: true, SyncPolicy: wal.SyncOnCommit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestServerSessionDedupSurvivesRestart(t *testing.T) {
 		from.Stop()
 		s, err := New(Options{
 			Substrate: "tl2", Keys: 32, Seed: 42,
-			Durable: true, SyncPolicy: wal.SyncEveryRecord,
+			Durable: true, SyncPolicy: wal.SyncOnCommit,
 			RecoverFrom: img,
 		})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestLeaseGatesOneShardServer(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s, err := New(Options{
 		Substrate: "tl2", Keys: 32, Seed: 42, Shards: 1,
-		Durable: true, SyncPolicy: wal.SyncEveryRecord,
+		Durable: true, SyncPolicy: wal.SyncOnCommit,
 		LeaseTTL: 50 * time.Millisecond, Clock: func() time.Time { return now },
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ const layoutSession = 7
 func layoutOptions(dir string) Options {
 	return Options{
 		Substrate: "boost", Keys: 64, Seed: 3, Shards: 1,
-		WALDir: dir, SyncPolicy: wal.SyncEveryRecord,
+		WALDir: dir, SyncPolicy: wal.SyncOnCommit,
 	}
 }
 
@@ -187,7 +187,7 @@ func TestWALLayoutContract(t *testing.T) {
 		// What the single-backend server used to write: no coord.log, the
 		// dedup table checkpointed into the WAL itself.
 		dir := t.TempDir()
-		log, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEveryRecord})
+		log, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncOnCommit})
 		if err != nil {
 			t.Fatal(err)
 		}

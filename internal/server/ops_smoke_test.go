@@ -72,7 +72,7 @@ func typedCampaign(t *testing.T, c *kvapi.Client, rounds int) map[uint64]int64 {
 func TestOpsSmoke(t *testing.T) {
 	s1, err := New(Options{
 		Substrate: "boost", Keys: 64, Seed: 11,
-		Durable: true, SyncPolicy: wal.SyncEveryRecord,
+		Durable: true, SyncPolicy: wal.SyncOnCommit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestOpsSmoke(t *testing.T) {
 	// match byte for byte.
 	s2, err := New(Options{
 		Substrate: "boost", Keys: 64, Seed: 11,
-		Durable: true, SyncPolicy: wal.SyncEveryRecord,
+		Durable: true, SyncPolicy: wal.SyncOnCommit,
 		RecoverFrom: img,
 	})
 	if err != nil {

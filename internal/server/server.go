@@ -72,7 +72,6 @@ type Options struct {
 	WALDir       string
 	Durable      bool
 	SyncPolicy   wal.SyncPolicy
-	GroupEvery   int
 	SegmentBytes int
 	// RecoverFrom, when non-nil, supplies the durable image to recover
 	// from explicitly (the in-memory restart path, from ShardImage()); it
@@ -236,9 +235,8 @@ func (s *Server) engineOptions() shard.Options {
 	return shard.Options{
 		Shards: o.Shards, Substrate: o.Substrate, Keys: o.Keys,
 		Seed: o.Seed, DisableCert: o.DisableCert, Retry: o.Retry,
-		SyncPolicy: o.SyncPolicy, GroupEvery: o.GroupEvery,
-		SegmentBytes: o.SegmentBytes,
-		Suite:        s.suite, AckCheck: s.ackCheck,
+		SyncPolicy: o.SyncPolicy, SegmentBytes: o.SegmentBytes,
+		Suite: s.suite, AckCheck: s.ackCheck,
 	}
 }
 

@@ -21,7 +21,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Run(sub, func(t *testing.T) {
 			s, err := New(Options{
 				Substrate: sub, Keys: 32, Seed: 11,
-				Durable: true, SyncPolicy: wal.SyncEveryRecord,
+				Durable: true, SyncPolicy: wal.SyncOnCommit,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"pushpull/internal/ops"
@@ -35,8 +32,8 @@ import (
 // durability and always runs the branch-presence probe.
 
 // ErrCoordCrashed reports an append against a coordinator log whose
-// simulated process has died.
-var ErrCoordCrashed = errors.New("shard: coordinator log crashed (simulated process death)")
+// simulated process has died — the shared log's ErrCrashed.
+var ErrCoordCrashed = wal.ErrCrashed
 
 // ErrCoordFenced reports an append against a coordinator log that has
 // learned of a higher serving epoch: a replica (or the new primary)
@@ -75,11 +72,11 @@ type CommitRec struct {
 	Ended bool
 }
 
-// Coordinator log framing: an 8-byte header ("PPCRD", version, two
-// reserved bytes), then records framed u32 len | u32 crc32c | payload,
-// same discipline as the WAL — any byte stream decodes to a longest
-// valid prefix plus a truncation point. Version 2 added a write-method
-// byte to every journaled KV (logical-op write-sets).
+// Coordinator log layout: an 8-byte header ("PPCRD", version, two
+// reserved bytes), then wal frames (wal.AppendFrame) — the shard WALs'
+// codec, so any byte stream decodes to a longest valid prefix plus a
+// truncation point. Version 2 added a write-method byte to every
+// journaled KV (logical-op write-sets).
 const (
 	coordMagic   = "PPCRD"
 	coordVersion = 2
@@ -114,66 +111,39 @@ const (
 	// its transactions CMTed (executors release only after the force) →
 	// consistent presumed abort. Zero in doubt either way.
 	cRecBatch = 6
-
-	maxCoordRec = 1 << 20
 )
 
-// maxBatchCommits bounds a batch record's declared commit count (the
-// sequencer's MaxBatch keeps real batches far below this and under the
-// frame limit).
-const maxBatchCommits = 1 << 16
-
-var coordCRC = crc32.MakeTable(crc32.Castagnoli)
-
 func coordHeader() []byte {
-	h := make([]byte, 0, coordHdrLen)
-	h = append(h, coordMagic...)
-	h = append(h, coordVersion, 0, 0)
-	return h
+	return append([]byte(coordMagic), coordVersion, 0, 0)
 }
 
-// CoordLog is the coordinator journal: an in-memory image with a
-// durable watermark (and an optional backing file), with the same
-// simulated-crash semantics as wal.Log — Kill freezes the durable
-// prefix.
+// CoordLog is the coordinator journal: one wal.Segment (durable
+// watermark, optional backing file, ship seam, Kill/Image/DurableAt/
+// Sync/Close) plus the decision records and the epoch fence.
 type CoordLog struct {
-	mu      sync.Mutex
-	path    string
-	file    *os.File
-	buf     []byte
-	durable int
-	crashed bool
-	appends uint64
-	// durableRecs is appends at the last successful sync — the records
-	// provably inside the durable prefix (the replication lag operand).
-	durableRecs uint64
-	onDurable   func(off int, data []byte)
-	// fenced/epoch are atomics (not under mu) so Fence can be called
-	// from inside an OnDurable callback — the replica that refuses a
-	// stale batch does so synchronously inside this log's own barrier.
+	*wal.Segment
+	// fenced/epoch are atomics so Fence can be called from inside the
+	// ship callback — the replica that refuses a stale batch does so
+	// synchronously inside this log's own barrier.
 	fenced atomic.Bool
 	epoch  atomic.Uint64
 }
 
-// OpenCoordLog creates a coordinator log; an empty path keeps it in
-// memory (tests, simulated crashes).
-func OpenCoordLog(path string) (*CoordLog, error) {
-	l := &CoordLog{path: path}
-	hdr := coordHeader()
-	l.buf = append(l.buf, hdr...)
-	if path != "" {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.file = f
+// OpenCoordLog creates a coordinator log whose header is durable; an
+// empty path keeps it in memory (tests, simulated crashes). ship, when
+// non-nil, receives every newly durable byte range — the header first,
+// so a replica attached at boot sees the log from byte zero (see
+// wal.OpenSegment).
+func OpenCoordLog(path string, ship func(off int, data []byte)) (*CoordLog, error) {
+	seg, err := wal.OpenSegment(path, coordHeader(), ship)
+	if err != nil {
+		return nil, err
 	}
-	l.durable = len(l.buf)
-	return l, nil
+	if err := seg.Sync(); err != nil {
+		seg.Close()
+		return nil, err
+	}
+	return &CoordLog{Segment: seg}, nil
 }
 
 // encodeCommitBody appends one commit decision's body (GSN, name,
@@ -181,8 +151,7 @@ func OpenCoordLog(path string) (*CoordLog, error) {
 // of a batch record.
 func encodeCommitBody(p []byte, r CommitRec) []byte {
 	p = binary.AppendUvarint(p, r.GSN)
-	p = binary.AppendUvarint(p, uint64(len(r.Name)))
-	p = append(p, r.Name...)
+	p = wal.AppendString(p, r.Name)
 	p = binary.AppendUvarint(p, uint64(len(r.Branches)))
 	for _, b := range r.Branches {
 		p = binary.AppendUvarint(p, uint64(b.Shard))
@@ -219,62 +188,10 @@ func encodeBatchRec(r BatchRec) []byte {
 }
 
 func (l *CoordLog) append(payload []byte, force bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCoordCrashed
-	}
-	if l.fenced.Load() {
+	if l.fenced.Load() && !l.Crashed() {
 		return ErrCoordFenced
 	}
-	l.appends++
-	var frame []byte
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, coordCRC))
-	frame = append(frame, payload...)
-	l.buf = append(l.buf, frame...)
-	if l.file != nil {
-		if _, err := l.file.Write(frame); err != nil {
-			return err
-		}
-	}
-	if force {
-		return l.syncLocked()
-	}
-	return nil
-}
-
-func (l *CoordLog) syncLocked() error {
-	if l.durable == len(l.buf) {
-		return nil
-	}
-	if l.file != nil {
-		if err := l.file.Sync(); err != nil {
-			return err
-		}
-	}
-	prev := l.durable
-	l.durable = len(l.buf)
-	l.durableRecs = l.appends
-	if l.onDurable != nil {
-		l.onDurable(prev, append([]byte(nil), l.buf[prev:l.durable]...))
-	}
-	return nil
-}
-
-// SetOnDurable installs the replication ship seam: fn receives every
-// newly durable byte range (offset + copy) inside the durability
-// barrier, before the barrier acks — including, immediately, the bytes
-// already durable at install time, so a replica attached at boot sees
-// the log from byte zero. Called under the log mutex; fn must not call
-// back into the log.
-func (l *CoordLog) SetOnDurable(fn func(off int, data []byte)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.onDurable = fn
-	if fn != nil && l.durable > 0 {
-		fn(0, append([]byte(nil), l.buf[:l.durable]...))
-	}
+	return l.Append(payload, force)
 }
 
 // AppendCommit journals one commit decision and forces it durable —
@@ -293,10 +210,7 @@ func (l *CoordLog) AppendBatch(r BatchRec) error {
 // AppendEnd journals a lazy completion marker (not forced; see the
 // package comment for why losing it is harmless).
 func (l *CoordLog) AppendEnd(gsn uint64) error {
-	p := make([]byte, 0, 10)
-	p = append(p, cRecEnd)
-	p = binary.AppendUvarint(p, gsn)
-	return l.append(p, false)
+	return l.append(binary.AppendUvarint([]byte{cRecEnd}, gsn), false)
 }
 
 // SessionRec is one exactly-once dedup entry in the coordinator log.
@@ -314,18 +228,8 @@ func encodeSessionRec(r SessionRec) []byte {
 	p = append(p, cRecSession)
 	p = binary.AppendUvarint(p, r.Session)
 	p = binary.AppendUvarint(p, r.SeqNo)
-	p = binary.AppendUvarint(p, uint64(len(r.Name)))
-	p = append(p, r.Name...)
-	p = binary.AppendUvarint(p, uint64(len(r.Results)))
-	for _, res := range r.Results {
-		p = binary.AppendVarint(p, res.Val)
-		if res.Found {
-			p = append(p, 1)
-		} else {
-			p = append(p, 0)
-		}
-	}
-	return p
+	p = wal.AppendString(p, r.Name)
+	return wal.AppendResults(p, r.Results)
 }
 
 // AppendSession journals one dedup entry. Live entries (named) ride
@@ -338,19 +242,13 @@ func (l *CoordLog) AppendSession(r SessionRec, force bool) error {
 // AppendLease journals the lease epoch granted to this log's holder and
 // forces it durable. Lease epochs must not regress.
 func (l *CoordLog) AppendLease(epoch uint64) error {
-	p := make([]byte, 0, 10)
-	p = append(p, cRecLease)
-	p = binary.AppendUvarint(p, epoch)
-	return l.append(p, true)
+	return l.append(binary.AppendUvarint([]byte{cRecLease}, epoch), true)
 }
 
 // AppendEpoch journals the serving epoch and forces it durable. Epochs
 // must not regress: a promotion writes predecessor+1.
 func (l *CoordLog) AppendEpoch(epoch uint64) error {
-	p := make([]byte, 0, 10)
-	p = append(p, cRecEpoch)
-	p = binary.AppendUvarint(p, epoch)
-	if err := l.append(p, true); err != nil {
+	if err := l.append(binary.AppendUvarint([]byte{cRecEpoch}, epoch), true); err != nil {
 		return err
 	}
 	for {
@@ -377,142 +275,14 @@ func (l *CoordLog) Fence(epoch uint64) {
 // Fenced reports whether the log has been fenced off.
 func (l *CoordLog) Fenced() bool { return l.fenced.Load() }
 
-// Appends counts append attempts.
-func (l *CoordLog) Appends() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
-// DurableRecords counts records inside the durable prefix — the
-// primary-side operand of the replication lag gauge (lazily buffered
-// records, like unforced CEnd markers, are excluded until synced).
-func (l *CoordLog) DurableRecords() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durableRecs
-}
-
-// DurableAt reads up to max durable bytes starting at off — the pull
-// side of coordinator-log tailing, mirroring wal.Log.DurableAt (the
-// coordinator log never rotates, so there is no next-segment flag).
-func (l *CoordLog) DurableAt(off, max int) (data []byte, more bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if off < 0 || off > l.durable {
-		return nil, false, fmt.Errorf("shard: coordinator offset %d beyond durable watermark %d", off, l.durable)
-	}
-	end := l.durable
-	if max > 0 && off+max < end {
-		end = off + max
-	}
-	return append([]byte(nil), l.buf[off:end]...), end < l.durable, nil
-}
-
-// Sync forces everything appended so far.
-func (l *CoordLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCoordCrashed
-	}
-	return l.syncLocked()
-}
-
-// Kill applies a simulated process death: the surviving image is the
-// durable prefix. Idempotent.
-func (l *CoordLog) Kill() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return
-	}
-	l.crashed = true
-	l.buf = l.buf[:l.durable]
-	if l.file != nil {
-		l.file.Close()
-		l.file = nil
-		_ = os.WriteFile(l.path, l.buf, 0o644)
-	}
-}
-
-// Crashed reports whether the simulated process has died.
-func (l *CoordLog) Crashed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.crashed
-}
-
-// Image returns the on-"disk" image: the durable prefix after a crash,
-// the full written image before one.
-func (l *CoordLog) Image() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return append([]byte(nil), l.buf[:l.durable]...)
-	}
-	return append([]byte(nil), l.buf...)
-}
-
-// Close syncs and closes the log (no-op after a crash).
-func (l *CoordLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return nil
-	}
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if l.file != nil {
-		if err := l.file.Close(); err != nil {
-			return err
-		}
-		l.file = nil
-	}
-	return nil
-}
-
 // DecodeCoordLog decodes a coordinator log image into its commit
 // records in append (GSN) order, folding CEnd markers into Ended
 // flags. Like the WAL decoder it never fails on a torn tail: it
 // returns the longest valid prefix plus a non-nil truncation reason
 // (nil when the image decoded exactly). An empty image is valid.
 func DecodeCoordLog(data []byte) (recs []CommitRec, truncated error) {
-	recs, _, truncated = DecodeCoordLogEpoch(data)
-	return recs, truncated
-}
-
-// CountCoordRecords counts the whole records (commit, end, and epoch
-// frames) in a coordinator log image's valid prefix — the replica-side
-// operand of the replication lag gauge, matching what CoordLog.Appends
-// counts on the primary.
-func CountCoordRecords(data []byte) int {
-	if len(data) < coordHdrLen {
-		return 0
-	}
-	body := data[coordHdrLen:]
-	n, off := 0, 0
-	for {
-		rest := body[off:]
-		if len(rest) < 8 {
-			return n
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		if plen > maxCoordRec || uint64(8)+uint64(plen) > uint64(len(rest)) {
-			return n
-		}
-		n++
-		off += 8 + int(plen)
-	}
-}
-
-// DecodeCoordLogEpoch is DecodeCoordLog plus the highest durable
-// serving epoch branded into the image (0 when the log predates epochs
-// or none reached the durable prefix).
-func DecodeCoordLogEpoch(data []byte) (recs []CommitRec, epoch uint64, truncated error) {
 	cr := DecodeCoordLogFull(data)
-	return cr.Commits, cr.Epoch, cr.Truncated
+	return cr.Commits, cr.Truncated
 }
 
 // CoordRecovery is everything a full decode of a coordinator log image
@@ -527,8 +297,12 @@ type CoordRecovery struct {
 	// Batches counts durable sequencer batch records; SeqEpoch is the
 	// highest sealed sequencer epoch in the prefix (0 when the log has
 	// none — the mutex-coordinated path, or a pre-sequencer image).
-	Batches   int
-	SeqEpoch  uint64
+	Batches  int
+	SeqEpoch uint64
+	// Records counts the whole records of every type in the valid
+	// prefix — the replica-side operand of the replication lag gauge,
+	// matching the primary's DurableRecords.
+	Records   int
 	Truncated error
 }
 
@@ -547,73 +321,65 @@ func DecodeCoordLogFull(data []byte) (cr CoordRecovery) {
 		cr.Truncated = fmt.Errorf("shard: unsupported coordinator log version %d", data[len(coordMagic)])
 		return cr
 	}
-	body := data[coordHdrLen:]
 	ended := make(map[uint64]bool)
-	byGSN := make(map[uint64]int)
 	var sessRecs []SessionRec
-	off := 0
-	for {
-		rest := body[off:]
-		if len(rest) == 0 {
-			break
+	_, cr.Truncated = wal.WalkFrames(data[coordHdrLen:], func(p []byte) error {
+		if len(p) == 0 {
+			return errors.New("empty payload")
 		}
-		if len(rest) < 8 {
-			cr.Truncated = fmt.Errorf("shard: torn coordinator frame header at offset %d", off)
-			break
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if plen > maxCoordRec {
-			cr.Truncated = fmt.Errorf("shard: coordinator frame length %d exceeds limit at offset %d", plen, off)
-			break
-		}
-		if uint64(8)+uint64(plen) > uint64(len(rest)) {
-			cr.Truncated = fmt.Errorf("shard: torn coordinator record at offset %d", off)
-			break
-		}
-		payload := rest[8 : 8+int(plen)]
-		if crc32.Checksum(payload, coordCRC) != sum {
-			cr.Truncated = fmt.Errorf("shard: coordinator checksum mismatch at offset %d", off)
-			break
-		}
-		rec, err := decodeCoordPayload(payload)
-		if err != nil {
-			cr.Truncated = fmt.Errorf("shard: bad coordinator payload at offset %d: %w", off, err)
-			break
-		}
-		switch {
-		case rec.isEpoch:
-			if rec.epoch > cr.Epoch {
-				cr.Epoch = rec.epoch
+		// Decode the whole record before folding any of it: a record
+		// the walk refuses must leave no trace.
+		d := wal.NewDecoder(p[1:])
+		var fold func()
+		switch p[0] {
+		case cRecEnd:
+			gsn := d.Uvarint()
+			fold = func() { ended[gsn] = true }
+		case cRecEpoch:
+			e := d.Uvarint()
+			fold = func() { cr.Epoch = max(cr.Epoch, e) }
+		case cRecLease:
+			e := d.Uvarint()
+			fold = func() { cr.LeaseEpoch = max(cr.LeaseEpoch, e) }
+		case cRecSession:
+			r := SessionRec{Session: d.Uvarint(), SeqNo: d.Uvarint(), Name: d.Str(), Results: d.Results()}
+			fold = func() { sessRecs = append(sessRecs, r) }
+		case cRecCommit:
+			c, err := decodeCommitBody(d)
+			if err != nil {
+				return err
 			}
-		case rec.isLease:
-			if rec.epoch > cr.LeaseEpoch {
-				cr.LeaseEpoch = rec.epoch
-			}
-		case rec.isSession:
-			sessRecs = append(sessRecs, rec.session)
-		case rec.isBatch:
+			fold = func() { cr.Commits = append(cr.Commits, c) }
+		case cRecBatch:
 			// A batch folds as if its decisions had been appended
 			// individually: downstream recovery (roll-forward probe,
 			// merged-order certificate, session fold) is unchanged.
-			cr.Batches++
-			if rec.batch.Epoch > cr.SeqEpoch {
-				cr.SeqEpoch = rec.batch.Epoch
+			epoch := d.Uvarint()
+			var commits []CommitRec
+			for i, n := 0, d.Count(); i < n; i++ {
+				c, err := decodeCommitBody(d)
+				if err != nil {
+					return err
+				}
+				commits = append(commits, c)
 			}
-			for _, c := range rec.batch.Commits {
-				byGSN[c.GSN] = len(cr.Commits)
-				cr.Commits = append(cr.Commits, c)
+			fold = func() {
+				cr.Batches++
+				cr.SeqEpoch = max(cr.SeqEpoch, epoch)
+				cr.Commits = append(cr.Commits, commits...)
 			}
-		case rec.end:
-			ended[rec.gsn] = true
 		default:
-			byGSN[rec.commit.GSN] = len(cr.Commits)
-			cr.Commits = append(cr.Commits, rec.commit)
+			return fmt.Errorf("unknown record type %d", p[0])
 		}
-		off += 8 + int(plen)
-	}
-	for gsn := range ended {
-		if i, ok := byGSN[gsn]; ok {
+		if err := d.End(); err != nil {
+			return err
+		}
+		fold()
+		cr.Records++
+		return nil
+	})
+	for i, c := range cr.Commits {
+		if ended[c.GSN] {
 			cr.Commits[i].Ended = true
 		}
 	}
@@ -643,122 +409,14 @@ func DecodeCoordLogFull(data []byte) (cr CoordRecovery) {
 	return cr
 }
 
-type coordPayload struct {
-	end       bool
-	isEpoch   bool
-	isLease   bool
-	isSession bool
-	isBatch   bool
-	epoch     uint64
-	gsn       uint64
-	commit    CommitRec
-	session   SessionRec
-	batch     BatchRec
-}
-
-// maxCoordBranches bounds declared counts so a corrupt length cannot
-// demand a huge allocation before the overrun check.
-const maxCoordBranches = 1 << 12
-
-func decodeCoordPayload(p []byte) (coordPayload, error) {
-	if len(p) == 0 {
-		return coordPayload{}, errors.New("empty payload")
-	}
-	d := &cdec{b: p[1:]}
-	switch p[0] {
-	case cRecEnd:
-		gsn := d.uvarint()
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated end record")
-		}
-		return coordPayload{end: true, gsn: gsn}, nil
-	case cRecEpoch:
-		e := d.uvarint()
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated epoch record")
-		}
-		return coordPayload{isEpoch: true, epoch: e}, nil
-	case cRecLease:
-		e := d.uvarint()
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated lease record")
-		}
-		return coordPayload{isLease: true, epoch: e}, nil
-	case cRecSession:
-		var r SessionRec
-		r.Session = d.uvarint()
-		r.SeqNo = d.uvarint()
-		r.Name = d.str()
-		nr := d.uvarint()
-		if nr > maxCoordRec {
-			return coordPayload{}, fmt.Errorf("absurd result count %d", nr)
-		}
-		for i := uint64(0); i < nr && !d.bad; i++ {
-			res := wal.SessResult{Val: d.varint()}
-			switch d.byte() {
-			case 0:
-			case 1:
-				res.Found = true
-			default:
-				return coordPayload{}, errors.New("bad result flag")
-			}
-			r.Results = append(r.Results, res)
-		}
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated session record")
-		}
-		return coordPayload{isSession: true, session: r}, nil
-	case cRecCommit:
-		r, err := decodeCommitBody(d)
-		if err != nil {
-			return coordPayload{}, err
-		}
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated commit record")
-		}
-		return coordPayload{commit: r}, nil
-	case cRecBatch:
-		var br BatchRec
-		br.Epoch = d.uvarint()
-		nc := d.uvarint()
-		if nc > maxBatchCommits {
-			return coordPayload{}, fmt.Errorf("absurd batch commit count %d", nc)
-		}
-		for i := uint64(0); i < nc && !d.bad; i++ {
-			c, err := decodeCommitBody(d)
-			if err != nil {
-				return coordPayload{}, err
-			}
-			br.Commits = append(br.Commits, c)
-		}
-		if d.bad || len(d.b) != 0 {
-			return coordPayload{}, errors.New("truncated batch record")
-		}
-		return coordPayload{isBatch: true, batch: br}, nil
-	default:
-		return coordPayload{}, fmt.Errorf("unknown record type %d", p[0])
-	}
-}
-
 // decodeCommitBody decodes one commit decision's body — the inverse of
 // encodeCommitBody, shared by standalone and batched records.
-func decodeCommitBody(d *cdec) (CommitRec, error) {
-	var r CommitRec
-	r.GSN = d.uvarint()
-	r.Name = d.str()
-	nb := d.uvarint()
-	if nb > maxCoordBranches {
-		return r, fmt.Errorf("absurd branch count %d", nb)
-	}
-	for i := uint64(0); i < nb && !d.bad; i++ {
-		var b BranchRec
-		b.Shard = int(d.uvarint())
-		np := d.uvarint()
-		if np > maxCoordRec {
-			return r, fmt.Errorf("absurd put count %d", np)
-		}
-		for j := uint64(0); j < np && !d.bad; j++ {
-			kv := KV{Key: d.uvarint(), Val: d.varint(), Method: ops.WireMethod(d.byte())}
+func decodeCommitBody(d *wal.Decoder) (CommitRec, error) {
+	r := CommitRec{GSN: d.Uvarint(), Name: d.Str()}
+	for i, nb := 0, d.Count(); i < nb; i++ {
+		b := BranchRec{Shard: int(d.Uvarint())}
+		for j, np := 0, d.Count(); j < np; j++ {
+			kv := KV{Key: d.Uvarint(), Val: d.Varint(), Method: ops.WireMethod(d.Byte())}
 			if kv.Method > ops.WQPush {
 				return r, fmt.Errorf("unknown write method %d", kv.Method)
 			}
@@ -767,56 +425,4 @@ func decodeCommitBody(d *cdec) (CommitRec, error) {
 		r.Branches = append(r.Branches, b)
 	}
 	return r, nil
-}
-
-type cdec struct {
-	b   []byte
-	bad bool
-}
-
-func (d *cdec) uvarint() uint64 {
-	if d.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *cdec) varint() int64 {
-	if d.bad {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *cdec) byte() byte {
-	if d.bad || len(d.b) == 0 {
-		d.bad = true
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
-}
-
-func (d *cdec) str() string {
-	n := d.uvarint()
-	if d.bad || n > uint64(len(d.b)) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

@@ -1,9 +1,15 @@
 package shard
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"pushpull/internal/ops"
+	"pushpull/internal/recovery"
+	"pushpull/internal/wal"
 )
 
 func sampleRecs() []CommitRec {
@@ -20,7 +26,7 @@ func sampleRecs() []CommitRec {
 }
 
 func TestCoordLogRoundTrip(t *testing.T) {
-	l, err := OpenCoordLog("")
+	l, err := OpenCoordLog("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func TestCoordLogRoundTrip(t *testing.T) {
 
 func TestCoordLogFileBacked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.log")
-	l, err := OpenCoordLog(path)
+	l, err := OpenCoordLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +68,13 @@ func TestCoordLogFileBacked(t *testing.T) {
 		t.Fatalf("file-backed decode: %+v, %v", got, trunc)
 	}
 	// Reopening the same path must refuse (exclusive create).
-	if _, err := OpenCoordLog(path); err == nil {
+	if _, err := OpenCoordLog(path, nil); err == nil {
 		t.Fatal("expected O_EXCL failure on existing coordinator log")
 	}
 }
 
 func TestCoordLogTornTail(t *testing.T) {
-	l, _ := OpenCoordLog("")
+	l, _ := OpenCoordLog("", nil)
 	for _, r := range sampleRecs() {
 		if err := l.AppendCommit(r); err != nil {
 			t.Fatal(err)
@@ -98,7 +104,7 @@ func TestCoordLogTornTail(t *testing.T) {
 }
 
 func TestCoordLogKill(t *testing.T) {
-	l, _ := OpenCoordLog("")
+	l, _ := OpenCoordLog("", nil)
 	if err := l.AppendCommit(sampleRecs()[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +143,7 @@ func TestDecodeCoordLogEmptyAndBad(t *testing.T) {
 // decisions in order, tracks the sealed epoch, and still applies CEnd
 // markers to batched commits.
 func TestCoordLogBatchRoundTrip(t *testing.T) {
-	l, err := OpenCoordLog("")
+	l, err := OpenCoordLog("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +185,7 @@ func TestCoordLogBatchRoundTrip(t *testing.T) {
 // pending and asserts the surviving image decodes to the pre-batch
 // prefix — presumed abort for the whole torn epoch.
 func TestCoordLogBatchTornTail(t *testing.T) {
-	l, err := OpenCoordLog("")
+	l, err := OpenCoordLog("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +204,67 @@ func TestCoordLogBatchTornTail(t *testing.T) {
 	}
 	if cr.SeqEpoch != 1 {
 		t.Fatalf("torn decode epoch %d, want 1", cr.SeqEpoch)
+	}
+}
+
+// TestCoordLogGolden writes every coordinator record type and compares
+// the image byte for byte with testdata/coord-v2.log, written by the
+// coordinator log's own encoder before it moved onto the shared wal
+// frame codec: old coord.log images boot without a migration, and a
+// replica's coordinator stream stays byte-exact.
+func TestCoordLogGolden(t *testing.T) {
+	l, err := OpenCoordLog("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(l.AppendEpoch(3))
+	must(l.AppendLease(7))
+	must(l.AppendSession(SessionRec{Session: 41, SeqNo: 2, Results: []wal.SessResult{{Val: -5, Found: true}}}, true))
+	must(l.AppendSession(SessionRec{Session: 42, SeqNo: 9, Name: "x1",
+		Results: []wal.SessResult{{Val: 30, Found: true}, {Val: 0}}}, false))
+	x1 := CommitRec{GSN: 1, Name: "x1", Branches: []BranchRec{
+		{Shard: 0, Puts: []KV{{Key: 3, Val: 30}, {Key: 4, Val: -2, Method: ops.WAdd}}},
+		{Shard: 2, Puts: []KV{{Key: 7, Val: 70, Method: ops.WSAdd}, {Key: 9, Val: 90, Method: ops.WSRem}}},
+	}}
+	must(l.AppendCommit(x1))
+	must(l.AppendEnd(1))
+	batch := BatchRec{Epoch: 5, Commits: []CommitRec{
+		{GSN: 2, Name: "x2", Branches: []BranchRec{{Shard: 1}, {Shard: 3, Puts: []KV{{Key: 11, Val: 1, Method: ops.WQPush}}}}},
+		{GSN: 3, Name: "x3", Branches: []BranchRec{{Shard: 0, Puts: []KV{{Key: 1 << 40, Val: -1 << 40}}}}},
+	}}
+	must(l.AppendBatch(batch))
+	must(l.AppendEnd(3))
+	must(l.Sync())
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "coord-v2.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := l.Image(); !bytes.Equal(img, golden) {
+		t.Fatalf("coordinator image differs from the golden one:\n got %x\nwant %x", img, golden)
+	}
+
+	cr := DecodeCoordLogFull(golden)
+	x1.Ended, batch.Commits[1].Ended = true, true
+	want := append([]CommitRec{x1}, batch.Commits...)
+	if cr.Truncated != nil || !reflect.DeepEqual(cr.Commits, want) {
+		t.Fatalf("golden decode: truncated %v\n got %+v\nwant %+v", cr.Truncated, cr.Commits, want)
+	}
+	if cr.Epoch != 3 || cr.LeaseEpoch != 7 || cr.Batches != 1 || cr.SeqEpoch != 5 || cr.Records != 8 {
+		t.Fatalf("golden decode: epoch %d lease %d batches %d seq epoch %d records %d",
+			cr.Epoch, cr.LeaseEpoch, cr.Batches, cr.SeqEpoch, cr.Records)
+	}
+	wantSess := map[uint64]recovery.SessionEntry{
+		41: {SeqNo: 2, Results: []wal.SessResult{{Val: -5, Found: true}}},
+		42: {SeqNo: 9, Results: []wal.SessResult{{Val: 30, Found: true}, {Val: 0}}},
+	}
+	if !reflect.DeepEqual(cr.Sessions, wantSess) {
+		t.Fatalf("golden sessions: got %+v, want %+v", cr.Sessions, wantSess)
 	}
 }

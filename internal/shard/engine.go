@@ -51,7 +51,6 @@ type Options struct {
 	WALDir       string
 	Durable      bool
 	SyncPolicy   wal.SyncPolicy
-	GroupEvery   int
 	SegmentBytes int
 	// RecoverFrom supplies the durable image explicitly (the in-memory
 	// restart path); it takes precedence over reading WALDir.
@@ -306,28 +305,19 @@ func New(opts Options) (_ *Engine, err error) {
 					return nil, fmt.Errorf("shard: creating %s: %w", dir, err)
 				}
 			}
-			// Log force at commit. Under SyncOnCommit the log itself
-			// would fsync inside Append — which the machine hook calls
-			// while the substrate holds its commit locks, serializing
-			// every committer behind each fsync. No fsync runs while
-			// substrate commit locks are held: the log opens non-syncing
-			// and the shard's group-commit leader forces it at the commit
-			// barrier, outside every lock, after the CMT record is
-			// appended and before the client is acknowledged: durability
-			// is unchanged and concurrent committers share one fsync.
-			logPolicy := opts.SyncPolicy
-			forceAtBarrier := opts.SyncPolicy == wal.SyncOnCommit
-			if forceAtBarrier {
-				logPolicy = wal.SyncNever
-			}
+			// The log never fsyncs inside Append, which the machine hook
+			// calls under substrate commit locks: under SyncOnCommit the
+			// shard's group-commit leader forces it at the commit barrier,
+			// outside every lock, after the CMT record is appended and
+			// before the client is acknowledged, so concurrent committers
+			// share one fsync.
 			var ship func(seg, off int, data []byte)
 			if opts.Ship != nil {
 				stream := i
 				ship = func(seg, off int, data []byte) { opts.Ship(stream, seg, off, data) }
 			}
 			log, err := wal.Open(wal.Options{
-				Dir: dir, SegmentBytes: opts.SegmentBytes,
-				Policy: logPolicy, GroupEvery: opts.GroupEvery,
+				Dir: dir, SegmentBytes: opts.SegmentBytes, Policy: opts.SyncPolicy,
 				Chaos: inj, SyncObserver: suite.Metrics.WALSyncObserved,
 				OnDurable: ship,
 			})
@@ -335,11 +325,7 @@ func New(opts Options) (_ *Engine, err error) {
 				return nil, fmt.Errorf("shard %d: opening WAL: %w", i, err)
 			}
 			st.log = log
-			if forceAtBarrier {
-				st.group = backend.NewGroupCommit(backend.ForceSync(log))
-			} else {
-				st.group = backend.NewGroupCommit(log)
-			}
+			st.group = backend.NewGroupCommit(log)
 		} else {
 			st.group = backend.NewGroupCommit(nil)
 		}
@@ -381,15 +367,16 @@ func New(opts Options) (_ *Engine, err error) {
 		if opts.WALDir != "" {
 			coordPath = filepath.Join(opts.WALDir, coordLogName)
 		}
-		coord, err := OpenCoordLog(coordPath)
+		var ship func(off int, data []byte)
+		if opts.Ship != nil {
+			stream := opts.Shards
+			ship = func(off int, data []byte) { opts.Ship(stream, 0, off, data) }
+		}
+		coord, err := OpenCoordLog(coordPath, ship)
 		if err != nil {
 			return nil, fmt.Errorf("shard: opening coordinator log: %w", err)
 		}
 		e.coord = coord
-		if opts.Ship != nil {
-			stream := opts.Shards
-			coord.SetOnDurable(func(off int, data []byte) { opts.Ship(stream, 0, off, data) })
-		}
 		// Brand the serving epoch into the log so it ships with the
 		// stream and survives restart.
 		if e.epoch > 0 {

@@ -41,9 +41,6 @@ type Op struct {
 // ⊆ notations, where "equality is given by ids".
 func (o Op) Key() uint64 { return o.ID }
 
-// SameOp reports id-equality, the paper's lifted operation equality.
-func SameOp(a, b Op) bool { return a.ID == b.ID }
-
 func (o Op) String() string {
 	args := make([]string, len(o.Args))
 	for i, a := range o.Args {

@@ -163,11 +163,6 @@ func (r *Registry) AllowsFrom(start Composite, l Log, op Op) bool {
 	return ok
 }
 
-// Allows reports ℓ allows op, i.e. allowed ℓ·op.
-func (r *Registry) Allows(l Log, op Op) bool {
-	return r.AllowsFrom(r.InitState(), l, op)
-}
-
 // EvalFrom computes the return value method(args) would produce in the
 // state denoted by l from start. ok=false if l is not allowed or the
 // method is undefined there.

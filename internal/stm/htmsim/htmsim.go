@@ -336,8 +336,8 @@ func (tx *Tx) commit(name string) error {
 	}
 	tx.captured = tx.certOps()
 	if tx.h.Recorder != nil {
-		if !tx.h.Recorder.AtomicTxn(name, tx.captured) {
-			return fmt.Errorf("htmsim: certification failed: %w", tx.h.Recorder.Err())
+		if err := tx.h.Recorder.AtomicTxn(name, tx.captured); err != nil {
+			return fmt.Errorf("htmsim: certification failed: %w", err)
 		}
 	}
 	for a, v := range tx.writes {
@@ -444,8 +444,8 @@ func (h *HTM) runFallback(name string, fn func(*Tx) error) error {
 		return err
 	}
 	if h.Recorder != nil {
-		if !h.Recorder.AtomicTxn(name, tx.certOps()) {
-			return fmt.Errorf("htmsim: fallback certification failed: %w", h.Recorder.Err())
+		if err := h.Recorder.AtomicTxn(name, tx.certOps()); err != nil {
+			return fmt.Errorf("htmsim: fallback certification failed: %w", err)
 		}
 	}
 	for a, v := range tx.writes {

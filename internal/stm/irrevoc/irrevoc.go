@@ -166,7 +166,7 @@ func (m *Memory) commitOpt(name string, tx *Tx) error {
 			return m.certOps(tx), true
 		}
 		if m.Recorder != nil {
-			if !m.Recorder.AtomicTxnFunc(name, validate) {
+			if ok, _ := m.Recorder.AtomicTxnFunc(name, validate); !ok {
 				return ErrConflict
 			}
 			return nil
@@ -237,8 +237,7 @@ func (m *Memory) commitOpt(name string, tx *Tx) error {
 		// Revalidate the read set inside the recorder's critical section
 		// so the certified order matches the lock-protocol serialization
 		// order (see the same pattern in internal/stm/tl2).
-		revalidated := false
-		certified := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
+		certified, refused := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
 			for _, r := range tx.reads {
 				v := m.words[r.addr].vlock.Load()
 				if versionOf(v) > tx.rv {
@@ -250,14 +249,13 @@ func (m *Memory) commitOpt(name string, tx *Tx) error {
 					}
 				}
 			}
-			revalidated = true
 			return m.certOps(tx), true
 		})
+		if refused != nil {
+			unlock(true, wv)
+			return fmt.Errorf("irrevoc: optimistic certification failed: %w", refused)
+		}
 		if !certified {
-			if revalidated {
-				unlock(true, wv)
-				return fmt.Errorf("irrevoc: optimistic certification failed: %w", m.Recorder.Err())
-			}
 			unlock(false, 0)
 			return ErrConflict
 		}

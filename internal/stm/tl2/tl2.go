@@ -192,7 +192,7 @@ func (m *Memory) commit(name string, tx *Tx) error {
 		// serialization point is the final revalidation, which runs
 		// inside the recorder's critical section when certifying.
 		if m.Recorder != nil {
-			okCert := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
+			okCert, _ := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
 				if !m.validateReads(tx, 0, false) {
 					return nil, false
 				}
@@ -255,8 +255,12 @@ func (m *Memory) commit(name string, tx *Tx) error {
 		locked = append(locked, a)
 	}
 
+	// A plan naming SiteTL2SkipRevalidate breaks the protocol on
+	// purpose: the read set goes unchecked, and only the certifier
+	// stands between a stale read and the substrate.
+	skip := m.Injector != nil && m.Injector.Fire(chaos.SiteTL2SkipRevalidate)
 	wv := m.clock.Add(1)
-	if wv != tx.rv+1 {
+	if wv != tx.rv+1 && !skip {
 		if !m.validateReads(tx, 0, true) {
 			release(0, false)
 			return ErrConflict
@@ -272,22 +276,21 @@ func (m *Memory) commit(name string, tx *Tx) error {
 		// section: the certified order then agrees with the lock-protocol
 		// serialization order. (A still-locked read word means such a
 		// writer is mid-commit; we abort and retry.)
-		revalidated := false
-		certified := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
-			if !m.validateReads(tx, 0, true) {
+		certified, refused := m.Recorder.AtomicTxnFunc(name, func() ([]trace.OpRecord, bool) {
+			if !skip && !m.validateReads(tx, 0, true) {
 				return nil, false
 			}
-			revalidated = true
 			return m.certOps(tx), true
 		})
+		if refused != nil {
+			// Model violation: the certifier refused what the protocol
+			// admitted. Roll back — applying would leave the substrate
+			// holding a value no certificate admits, and every later
+			// reader of the word would be refused too.
+			release(0, false)
+			return fmt.Errorf("tl2: certification failed: %w", refused)
+		}
 		if !certified {
-			if revalidated {
-				// Model violation: surface loudly. Apply anyway so the
-				// substrate's own invariants stay intact; the recorder
-				// has logged the violation.
-				release(wv, true)
-				return fmt.Errorf("tl2: certification failed: %w", m.Recorder.Err())
-			}
 			// Revalidation failed: a plain conflict.
 			release(0, false)
 			return ErrConflict

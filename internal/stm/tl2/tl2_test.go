@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pushpull/internal/adt"
+	"pushpull/internal/chaos"
 	"pushpull/internal/spec"
 	"pushpull/internal/stm/tl2"
 	"pushpull/internal/trace"
@@ -234,4 +235,88 @@ func BenchmarkTL2HighContention(b *testing.B) {
 			})
 		}
 	})
+}
+
+// TestRefusedCertificateRollsBack breaks the protocol on purpose — a
+// plan naming chaos.SiteTL2SkipRevalidate lets one commit skip its
+// read-set validation — so a stale read reaches the certifier. The
+// refused transaction must roll back: its write is never read back,
+// the substrate image equals the certified state, and later commits on
+// the same words certify.
+func TestRefusedCertificateRollsBack(t *testing.T) {
+	reg := spec.NewRegistry()
+	reg.Register("mem", adt.Register{})
+	m := tl2.New(4)
+	m.Name = "mem"
+	m.Recorder = trace.NewRecorder(reg)
+	m.Recorder.Journal = true
+	plan := chaos.NewPlan(1).WithScript(chaos.SiteTL2SkipRevalidate, []bool{false, true})
+	m.Injector = plan.Injector()
+
+	// "stale" reads word 0, lets "writer" commit 5 to it, then writes
+	// word 1 from the stale read. Its commit skips validation (the
+	// second visit of the site), so only the certifier catches it.
+	wrote := false
+	err := m.AtomicNamed("stale", func(tx *tl2.Tx) error {
+		v, err := tx.Read(0)
+		if err != nil {
+			return err
+		}
+		if !wrote {
+			wrote = true
+			if err := m.AtomicNamed("writer", func(w *tl2.Tx) error { return w.Write(0, 5) }); err != nil {
+				return err
+			}
+		}
+		return tx.Write(1, v+1)
+	})
+	var v trace.Violation
+	if !errors.As(err, &v) || v.Txn != "stale" {
+		t.Fatalf("refused commit returned %v, want its own violation", err)
+	}
+	if n := m.Recorder.ViolationCount(); n != 1 {
+		t.Fatalf("%d violations recorded, want 1", n)
+	}
+	if got := m.ReadNoTx(1); got != 0 {
+		t.Fatalf("refused write is visible: word 1 = %d", got)
+	}
+
+	// The substrate image equals the certified state: replay the
+	// certified journal's writes.
+	certified := make([]int64, 4)
+	for _, e := range m.Recorder.JournalEntries() {
+		for _, op := range e.Ops {
+			if op.Method == "write" {
+				certified[op.Args[0]] = op.Args[1]
+			}
+		}
+	}
+	for a := range certified {
+		if got := m.ReadNoTx(a); got != certified[a] {
+			t.Fatalf("word %d: substrate %d, certified %d", a, got, certified[a])
+		}
+	}
+
+	// Later commits on the same words certify.
+	for i := 0; i < 3; i++ {
+		if err := m.AtomicNamed(fmt.Sprintf("after%d", i), func(tx *tl2.Tx) error {
+			x, err := tx.Read(0)
+			if err != nil {
+				return err
+			}
+			y, err := tx.Read(1)
+			if err != nil {
+				return err
+			}
+			return tx.Write(1, x+y)
+		}); err != nil {
+			t.Fatalf("commit after the refusal: %v", err)
+		}
+	}
+	if got := m.ReadNoTx(1); got != 15 {
+		t.Fatalf("word 1 = %d after three x+y commits, want 15", got)
+	}
+	if err := m.Recorder.Err(); err == nil || m.Recorder.ViolationCount() != 1 {
+		t.Fatalf("later commits changed the verdict: %v (%d violations)", err, m.Recorder.ViolationCount())
+	}
 }

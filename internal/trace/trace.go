@@ -70,8 +70,13 @@ type Recorder struct {
 	m   *core.Machine
 	reg *spec.Registry
 
-	violations []Violation
-	commits    int
+	// Violations are kept as an exact count, the first one, and a ring
+	// of the most recent — a long-running server that keeps refusing
+	// must not grow without bound.
+	nViolations    int
+	firstViolation Violation
+	recent         [recentViolations]Violation
+	commits        int
 	// Journal keeps a record of every certified commit (name + ops in
 	// order) for export via JournalEntries / internal/history.
 	Journal bool
@@ -118,11 +123,31 @@ func (r *Recorder) journalAdd(name string, ops []OpRecord) {
 	}
 }
 
-// Violations returns the certification failures collected so far.
+// recentViolations sizes the ring of recent violations.
+const recentViolations = 64
+
+// Violations returns the retained certification failures, oldest
+// first: the first one ever recorded, then up to recentViolations of
+// the most recent (ViolationCount is the exact total).
 func (r *Recorder) Violations() []Violation {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Violation(nil), r.violations...)
+	lo := max(0, r.nViolations-recentViolations)
+	var out []Violation
+	if lo > 0 {
+		out = append(out, r.firstViolation)
+	}
+	for seq := lo; seq < r.nViolations; seq++ {
+		out = append(out, r.recent[seq%recentViolations])
+	}
+	return out
+}
+
+// ViolationCount returns how many violations were recorded.
+func (r *Recorder) ViolationCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nViolations
 }
 
 // Commits returns the number of certified commits.
@@ -136,14 +161,23 @@ func (r *Recorder) Commits() int {
 func (r *Recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.violations) == 0 {
+	return r.errLocked()
+}
+
+func (r *Recorder) errLocked() error {
+	if r.nViolations == 0 {
 		return nil
 	}
-	return fmt.Errorf("trace: %d violations; first: %w", len(r.violations), r.violations[0].Err)
+	return fmt.Errorf("trace: %d violations; first: %w", r.nViolations, r.firstViolation.Err)
 }
 
 func (r *Recorder) addViolation(txn string, op OpRecord, err error) {
-	r.violations = append(r.violations, Violation{Txn: txn, Op: op, Err: err})
+	v := Violation{Txn: txn, Op: op, Err: err}
+	if r.nViolations == 0 {
+		r.firstViolation = v
+	}
+	r.recent[r.nViolations%recentViolations] = v
+	r.nViolations++
 }
 
 // codeFor builds the synthetic program replaying ops in order, so CMT
@@ -221,9 +255,9 @@ func sameArgs(a, b []int64) bool {
 
 // AtomicTxn certifies a commit-time-published transaction: call it at
 // the substrate's commit linearization point with the transaction's
-// logical reads and writes in program order. Returns false if the
-// transaction failed certification (violations recorded).
-func (r *Recorder) AtomicTxn(name string, ops []OpRecord) bool {
+// logical reads and writes in program order. A refused transaction
+// gets its own violation back (a Violation; the recorder keeps it too).
+func (r *Recorder) AtomicTxn(name string, ops []OpRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.atomicTxnLocked(name, ops)
@@ -234,18 +268,24 @@ func (r *Recorder) AtomicTxn(name string, ops []OpRecord) bool {
 // not protected by their own locks (e.g. TL2 read-only commits) put
 // their final validation inside prepare, so the certified order agrees
 // with the real commit order. prepare returning ok=false means the
-// substrate aborted at the last moment; nothing is recorded.
-func (r *Recorder) AtomicTxnFunc(name string, prepare func() (ops []OpRecord, ok bool)) bool {
+// substrate aborted at the last moment; nothing is recorded and both
+// results are zero. Otherwise certified reports the verdict and refused
+// is the transaction's own violation when it was refused.
+func (r *Recorder) AtomicTxnFunc(name string, prepare func() (ops []OpRecord, ok bool)) (certified bool, refused error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ops, ok := prepare()
 	if !ok {
-		return false
+		return false, nil
 	}
-	return r.atomicTxnLocked(name, ops)
+	refused = r.atomicTxnLocked(name, ops)
+	return refused == nil, refused
 }
 
-func (r *Recorder) atomicTxnLocked(name string, ops []OpRecord) bool {
+// atomicTxnLocked certifies one transaction and returns nil, or the
+// first violation it recorded.
+func (r *Recorder) atomicTxnLocked(name string, ops []OpRecord) error {
+	first := r.nViolations
 	r.txnCounter++
 	if name == "" {
 		name = fmt.Sprintf("txn%d", r.txnCounter)
@@ -254,7 +294,7 @@ func (r *Recorder) atomicTxnLocked(name string, ops []OpRecord) bool {
 	defer r.retire(t)
 	if err := r.m.Begin(t, lang.Txn{Name: name, Body: codeFor(ops)}, nil); err != nil {
 		r.addViolation(name, OpRecord{}, err)
-		return false
+		return r.recent[first%recentViolations]
 	}
 	okAll := true
 	r.pullCommitted(t, name)
@@ -286,12 +326,12 @@ func (r *Recorder) atomicTxnLocked(name string, ops []OpRecord) bool {
 		if err := r.m.Abort(t); err != nil {
 			r.addViolation(name, OpRecord{}, fmt.Errorf("shadow abort failed: %w", err))
 		}
-		return false
+		return r.recent[first%recentViolations]
 	}
 	r.commits++
 	r.journalAdd(name, ops)
 	r.fold()
-	return true
+	return nil
 }
 
 // Session is an eager-publication shadow transaction (boosting style).
@@ -620,10 +660,7 @@ func (r *Recorder) FinalCheck() error {
 	if err := r.m.Verify(); err != nil {
 		return fmt.Errorf("trace: machine invariants: %w", err)
 	}
-	if len(r.violations) > 0 {
-		return fmt.Errorf("trace: %d violations; first: %w", len(r.violations), r.violations[0].Err)
-	}
-	return nil
+	return r.errLocked()
 }
 
 // Machine exposes the shadow machine (for tests and reporting).

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestAtomicTxnAcceptsCorrectRun(t *testing.T) {
 	ok := rec.AtomicTxn("a", []trace.OpRecord{
 		{Obj: "mem", Method: "write", Args: []int64{1, 5}, Ret: 0},
 		{Obj: "mem", Method: "read", Args: []int64{1}, Ret: 5},
-	})
+	}) == nil
 	if !ok {
 		t.Fatalf("correct txn rejected: %v", rec.Err())
 	}
@@ -33,7 +34,7 @@ func TestAtomicTxnAcceptsCorrectRun(t *testing.T) {
 	ok = rec.AtomicTxn("b", []trace.OpRecord{
 		{Obj: "mem", Method: "read", Args: []int64{1}, Ret: 5},
 		{Obj: "mem", Method: "write", Args: []int64{1, 9}, Ret: 5},
-	})
+	}) == nil
 	if !ok {
 		t.Fatalf("dependent-on-committed txn rejected: %v", rec.Err())
 	}
@@ -52,14 +53,14 @@ func TestAtomicTxnCatchesWrongReturn(t *testing.T) {
 	rec := trace.NewRecorder(reg())
 	if ok := rec.AtomicTxn("good", []trace.OpRecord{
 		{Obj: "mem", Method: "write", Args: []int64{1, 5}, Ret: 0},
-	}); !ok {
+	}) == nil; !ok {
 		t.Fatal(rec.Err())
 	}
 	// A "lost update" bug: the substrate claims it read 0 although 5 is
 	// committed.
 	if ok := rec.AtomicTxn("buggy", []trace.OpRecord{
 		{Obj: "mem", Method: "read", Args: []int64{1}, Ret: 0},
-	}); ok {
+	}) == nil; ok {
 		t.Fatal("stale read certified!")
 	}
 	vs := rec.Violations()
@@ -71,11 +72,11 @@ func TestAtomicTxnCatchesWrongReturn(t *testing.T) {
 func TestAtomicTxnFuncAbortPath(t *testing.T) {
 	rec := trace.NewRecorder(reg())
 	called := false
-	ok := rec.AtomicTxnFunc("ro", func() ([]trace.OpRecord, bool) {
+	ok, refused := rec.AtomicTxnFunc("ro", func() ([]trace.OpRecord, bool) {
 		called = true
 		return nil, false // substrate aborted at the last moment
 	})
-	if ok || !called {
+	if ok || refused != nil || !called {
 		t.Fatal("aborting prepare must not certify")
 	}
 	if len(rec.Violations()) != 0 {
@@ -217,7 +218,7 @@ func TestCompactionKeepsCertifying(t *testing.T) {
 		ok := rec.AtomicTxn("w", []trace.OpRecord{
 			{Obj: "mem", Method: "read", Args: []int64{0}, Ret: val},
 			{Obj: "mem", Method: "write", Args: []int64{0, val + 1}, Ret: val},
-		})
+		}) == nil
 		if !ok {
 			t.Fatalf("iteration %d: %v", i, rec.Err())
 		}
@@ -267,7 +268,7 @@ func TestFoldBoundaryCertificate(t *testing.T) {
 			run: func(t *testing.T, rec *trace.Recorder) {
 				// Blind set ops return unit, so s2's srem is allowed after
 				// s1's uncommitted sadd (iii) but cannot move left of it (ii).
-				if !rec.AtomicTxn("seed", []trace.OpRecord{{Obj: "ops", Method: adt.MOpsSAdd, Args: []int64{7, 2}}}) {
+				if rec.AtomicTxn("seed", []trace.OpRecord{{Obj: "ops", Method: adt.MOpsSAdd, Args: []int64{7, 2}}}) != nil {
 					t.Fatal(rec.Err())
 				}
 				s1 := rec.Begin("s1")
@@ -292,7 +293,7 @@ func TestFoldBoundaryCertificate(t *testing.T) {
 				}
 				val := int64(0)
 				for rec.Machine().GlobalLen() < 32 {
-					if !rec.AtomicTxn("w", []trace.OpRecord{r(0, val), w(0, val+1, val)}) {
+					if rec.AtomicTxn("w", []trace.OpRecord{r(0, val), w(0, val+1, val)}) != nil {
 						t.Fatal(rec.Err())
 					}
 					val++
@@ -321,7 +322,7 @@ func TestFoldBoundaryCertificate(t *testing.T) {
 			var state recovery.State
 			for i, ops := range tc.txns {
 				name := fmt.Sprintf("t%d", i)
-				ok := rec.AtomicTxn(name, ops)
+				ok := rec.AtomicTxn(name, ops) == nil
 				if last := i == len(tc.txns)-1; ok == last {
 					t.Fatalf("txn %d: certified=%v: %v", i, ok, rec.Err())
 				}
@@ -358,5 +359,44 @@ func TestFoldBoundaryCertificate(t *testing.T) {
 				t.Fatalf("recovery refused the good prefix: %v", err)
 			}
 		})
+	}
+}
+
+// TestViolationsBounded refuses 10k commits: the count stays exact,
+// the first violation is kept, the retained list stays bounded, and
+// every refused commit gets its own violation back.
+func TestViolationsBounded(t *testing.T) {
+	rec := trace.NewRecorder(reg())
+	if err := rec.AtomicTxn("seed", []trace.OpRecord{
+		{Obj: "mem", Method: "write", Args: []int64{1, 5}, Ret: 0},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("bad%d", i)
+		err := rec.AtomicTxn(name, []trace.OpRecord{
+			{Obj: "mem", Method: "read", Args: []int64{1}, Ret: int64(i + 6)},
+		})
+		var v trace.Violation
+		if !errors.As(err, &v) || v.Txn != name {
+			t.Fatalf("commit %s refused with %v, want its own violation", name, err)
+		}
+	}
+	if got := rec.ViolationCount(); got != n {
+		t.Fatalf("ViolationCount = %d, want %d", got, n)
+	}
+	vs := rec.Violations()
+	if len(vs) > 100 {
+		t.Fatalf("%d violations retained after %d refusals: the list is unbounded", len(vs), n)
+	}
+	if vs[0].Txn != "bad0" || vs[len(vs)-1].Txn != fmt.Sprintf("bad%d", n-1) {
+		t.Fatalf("retained violations run %q..%q, want bad0..bad%d", vs[0].Txn, vs[len(vs)-1].Txn, n-1)
+	}
+	first := vs[0].Err.Error()
+	for _, err := range []error{rec.Err(), rec.FinalCheck()} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d violations; first: %s", n, first)) {
+			t.Fatalf("verdict %v does not name the count and the first violation %q", err, first)
+		}
 	}
 }

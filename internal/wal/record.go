@@ -4,24 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"pushpull/internal/spec"
 )
 
-// The record format. Every record is framed
-//
-//	u32 payloadLen | u32 crc32c(payload) | payload
-//
-// (little-endian), and every segment opens with an 8-byte header
+// The record format. Every record is one frame (frame.go), and every
+// segment opens with an 8-byte header
 //
 //	"PPWAL" | u8 version | u16 segment index
 //
 // The payload's first byte is the record type; the rest is the type's
-// fields in varint/length-prefixed encoding. The framing is what makes
-// recovery total: any byte stream decodes to a longest valid record
-// prefix plus a truncation point — a torn tail, a flipped bit, or
-// garbage all land in "truncate here", never in a panic.
+// fields in varint/length-prefixed encoding.
 
 // Type discriminates WAL records. The three global-log transitions of
 // the Push/Pull model (PUSH, UNPUSH, CMT) plus the whole-transaction
@@ -124,16 +117,6 @@ const (
 	SegHeaderLen = len(segMagic) + 1 + 2 // magic + version + u16 index
 )
 
-// frameLen is the per-record framing overhead.
-const frameLen = 8
-
-// MaxRecordLen bounds a single record's payload; longer frames are
-// treated as corruption (an unchecked u32 length would otherwise let a
-// flipped bit demand gigabytes).
-const MaxRecordLen = 1 << 20
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // SegmentHeader renders the header for segment index.
 func SegmentHeader(index int) []byte {
 	h := make([]byte, 0, SegHeaderLen)
@@ -158,11 +141,6 @@ func CheckSegmentHeader(data []byte) (index int, err error) {
 	return int(binary.LittleEndian.Uint16(data[len(segMagic)+1:])), nil
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // Encode appends the record's framed bytes to b.
 func Encode(b []byte, r Record) []byte {
 	p := make([]byte, 0, 64)
@@ -170,11 +148,11 @@ func Encode(b []byte, r Record) []byte {
 	p = binary.AppendUvarint(p, r.Tx)
 	switch r.Type {
 	case TPush:
-		p = appendString(p, r.Name)
+		p = AppendString(p, r.Name)
 		p = binary.AppendUvarint(p, r.Op.ID)
 		p = binary.AppendUvarint(p, uint64(r.Op.Seq))
-		p = appendString(p, r.Op.Obj)
-		p = appendString(p, r.Op.Method)
+		p = AppendString(p, r.Op.Obj)
+		p = AppendString(p, r.Op.Method)
 		p = binary.AppendUvarint(p, uint64(len(r.Op.Args)))
 		for _, a := range r.Op.Args {
 			p = binary.AppendVarint(p, a)
@@ -183,210 +161,75 @@ func Encode(b []byte, r Record) []byte {
 	case TUnpush:
 		p = binary.AppendUvarint(p, r.OpID)
 	case TCommit:
-		p = appendString(p, r.Name)
+		p = AppendString(p, r.Name)
 		p = binary.AppendUvarint(p, r.Stamp)
 	case TAbort:
-		p = appendString(p, r.Name)
+		p = AppendString(p, r.Name)
 	case TSession:
 		p = binary.AppendUvarint(p, r.Session)
 		p = binary.AppendUvarint(p, r.SeqNo)
-		p = appendString(p, r.Name)
-		p = binary.AppendUvarint(p, uint64(len(r.Results)))
-		for _, res := range r.Results {
-			p = binary.AppendVarint(p, res.Val)
-			if res.Found {
-				p = append(p, 1)
-			} else {
-				p = append(p, 0)
-			}
-		}
+		p = AppendString(p, r.Name)
+		p = AppendResults(p, r.Results)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
-	return append(b, p...)
+	return AppendFrame(b, p)
 }
-
-// decoder walks a payload, failing sticky on any overrun.
-type decoder struct {
-	b   []byte
-	bad bool
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.bad {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.bad || len(d.b) == 0 {
-		d.bad = true
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.bad || n > uint64(len(d.b)) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-// maxArgs bounds the declared argument count: the payload is already
-// length-capped, so any honest count fits; a corrupt one must not
-// trigger a huge allocation before the overrun check.
-const maxArgs = 1 << 16
 
 // decodePayload decodes one checksum-verified payload.
 func decodePayload(p []byte) (Record, error) {
 	if len(p) == 0 {
-		return Record{}, errors.New("wal: empty payload")
+		return Record{}, errors.New("empty payload")
 	}
 	r := Record{Type: Type(p[0])}
-	d := &decoder{b: p[1:]}
-	r.Tx = d.uvarint()
+	d := NewDecoder(p[1:])
+	r.Tx = d.Uvarint()
 	switch r.Type {
 	case TPush:
-		r.Name = d.str()
-		r.Op.ID = d.uvarint()
-		r.Op.Seq = int(d.uvarint())
-		r.Op.Obj = d.str()
-		r.Op.Method = d.str()
-		n := d.uvarint()
-		if n > maxArgs {
-			return Record{}, fmt.Errorf("wal: absurd arg count %d", n)
-		}
-		if !d.bad && n > 0 {
+		r.Name = d.Str()
+		r.Op.ID = d.Uvarint()
+		r.Op.Seq = int(d.Uvarint())
+		r.Op.Obj = d.Str()
+		r.Op.Method = d.Str()
+		if n := d.Count(); n > 0 {
 			r.Op.Args = make([]int64, n)
 			for i := range r.Op.Args {
-				r.Op.Args[i] = d.varint()
+				r.Op.Args[i] = d.Varint()
 			}
 		}
-		r.Op.Ret = d.varint()
+		r.Op.Ret = d.Varint()
 		r.Op.Tx = r.Tx
 	case TUnpush:
-		r.OpID = d.uvarint()
+		r.OpID = d.Uvarint()
 	case TCommit:
-		r.Name = d.str()
-		r.Stamp = d.uvarint()
+		r.Name = d.Str()
+		r.Stamp = d.Uvarint()
 	case TAbort:
-		r.Name = d.str()
+		r.Name = d.Str()
 	case TSession:
-		r.Session = d.uvarint()
-		r.SeqNo = d.uvarint()
-		r.Name = d.str()
-		n := d.uvarint()
-		if n > maxArgs {
-			return Record{}, fmt.Errorf("wal: absurd result count %d", n)
-		}
-		if !d.bad && n > 0 {
-			r.Results = make([]SessResult, n)
-			for i := range r.Results {
-				r.Results[i].Val = d.varint()
-				switch d.byte() {
-				case 0:
-				case 1:
-					r.Results[i].Found = true
-				default:
-					return Record{}, errors.New("wal: bad result flag")
-				}
-			}
-		}
+		r.Session = d.Uvarint()
+		r.SeqNo = d.Uvarint()
+		r.Name = d.Str()
+		r.Results = d.Results()
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record type %d", p[0])
+		return Record{}, fmt.Errorf("unknown record type %d", p[0])
 	}
-	if d.bad {
-		return Record{}, errors.New("wal: truncated payload")
-	}
-	if len(d.b) != 0 {
-		return Record{}, fmt.Errorf("wal: %d trailing payload bytes", len(d.b))
+	if err := d.End(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
 }
 
-// Truncation-reason classes. Crash recovery treats every truncation the
-// same way (keep the prefix, drop the tail), but a live tailer cannot:
-// an incomplete frame at the end of the open segment will grow into a
-// valid record on the next sync, while a checksum mismatch or garbage
-// payload never will. DecodeAll wraps each reason so callers can
-// errors.Is-dispatch between "wait and re-poll" and "stop, the stream
-// is damaged".
-var (
-	// ErrTornTail marks an incomplete frame at the truncation point: the
-	// bytes seen so far are a valid proper prefix of a record that more
-	// data could complete. At the end of an open segment this means
-	// wait/retry; mid-stream it means a torn write (crash artifact).
-	ErrTornTail = errors.New("wal: torn tail")
-	// ErrCorrupt marks a frame that no amount of further data can
-	// repair: an absurd declared length, a checksum mismatch, or a
-	// payload that fails structural decode. A tailer must treat this as
-	// a hard error.
-	ErrCorrupt = errors.New("wal: corrupt record")
-)
-
 // DecodeAll decodes the longest valid record prefix of a segment body
 // (the bytes after the segment header). It returns the records, the
 // number of body bytes consumed, and a non-nil reason when a torn or
-// corrupt tail was truncated (nil means the body decoded exactly).
-// DecodeAll never fails: arbitrary input is a valid prefix plus a
-// truncation point. The reason wraps ErrTornTail when the tail is an
-// incomplete frame more bytes could complete, and ErrCorrupt when it is
-// damage no suffix can repair.
+// corrupt tail was truncated (nil means the body decoded exactly); the
+// reason classes are WalkFrames'.
 func DecodeAll(body []byte) (recs []Record, consumed int, reason error) {
-	off := 0
-	for {
-		rest := body[off:]
-		if len(rest) == 0 {
-			return recs, off, nil
+	consumed, reason = WalkFrames(body, func(p []byte) error {
+		rec, err := decodePayload(p)
+		if err == nil {
+			recs = append(recs, rec)
 		}
-		if len(rest) < frameLen {
-			return recs, off, fmt.Errorf("%w: torn frame header (%d bytes) at offset %d", ErrTornTail, len(rest), off)
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if plen > MaxRecordLen {
-			return recs, off, fmt.Errorf("%w: frame length %d exceeds limit at offset %d", ErrCorrupt, plen, off)
-		}
-		if uint64(frameLen)+uint64(plen) > uint64(len(rest)) {
-			return recs, off, fmt.Errorf("%w: torn record (want %d payload bytes, have %d) at offset %d",
-				ErrTornTail, plen, len(rest)-frameLen, off)
-		}
-		payload := rest[frameLen : frameLen+int(plen)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return recs, off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, off, fmt.Errorf("%w: bad payload at offset %d: %v", ErrCorrupt, off, err)
-		}
-		recs = append(recs, rec)
-		off += frameLen + int(plen)
-	}
+		return err
+	})
+	return recs, consumed, reason
 }

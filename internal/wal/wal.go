@@ -5,17 +5,23 @@
 // (plus the substrate abort mark) is enough for internal/recovery to
 // rebuild a certified committed prefix after process death.
 //
-// Sync policies trade durability for throughput: per-record fsync, sync
-// at commit records, group/batched sync, or an unsynced fast path for
-// benchmarks. All of them recover to a serializable prefix; they differ
-// only in how much acknowledged work a crash may shed.
+// It is also the repository's one log codec: the frame format and its
+// total decoder (frame.go) and the durable append-only Segment — bytes,
+// a durable watermark, an optional file, the replication ship seam —
+// serve both the shard WALs and the cross-shard coordinator journal.
+//
+// Two sync policies: SyncOnCommit (the default) forces the log at each
+// commit barrier, so an acknowledged commit is durable; SyncNever acks
+// at once, the benchmark fast path whose crash sheds the open segment.
+// Append itself never syncs — it runs under substrate commit locks.
 //
 // Crashes are simulated, deterministically: a chaos.Faults injector is
 // consulted at chaos.SiteWALAppend on every append, and a firing kills
 // the "process" at exactly that append. What survives is the synced
-// prefix — optionally with a torn partial final record or a flipped bit
-// (chaos.CrashMode), both derived from the plan seed via chaos.Hash01 —
-// so every crash point in a sweep is replayable from a printed plan.
+// prefix — plus, per chaos.CrashMode, a seed-chosen count of whole
+// unsynced records, a torn partial tail, or a flipped bit, all derived
+// from the plan seed via chaos.Hash01 — so every crash point in a sweep
+// is replayable from a printed plan.
 package wal
 
 import (
@@ -34,34 +40,28 @@ import (
 // "the rest of this run is not durable", not as a failure.
 var ErrCrashed = errors.New("wal: crashed (simulated process death)")
 
-// SyncPolicy selects when appended records become durable.
+// SyncPolicy selects when appended records become durable. Append
+// never syncs (except at segment rotation, which syncs the finished
+// segment): it runs under substrate commit locks, where an fsync would
+// serialize every committer. The policy is applied at CommitBarrier.
 type SyncPolicy int
 
 // Sync policies.
 const (
-	// SyncEveryRecord syncs after every append — maximal durability,
-	// one barrier per record.
-	SyncEveryRecord SyncPolicy = iota
-	// SyncOnCommit syncs when a TCommit record lands: the classic
-	// commit-durable policy (group members ahead of the commit ride the
-	// same barrier).
-	SyncOnCommit
-	// SyncGroup syncs every GroupEvery records — batched/group commit;
-	// CommitBarrier flushes the open batch.
-	SyncGroup
-	// SyncNever is the unsynced fast path for benchmarks: only segment
-	// rotation persists. A crash sheds the whole open segment.
+	// SyncOnCommit (the zero value) forces the log at every commit
+	// barrier: a transaction is acknowledged only once its CMT record
+	// is durable, and concurrent committers share one barrier.
+	SyncOnCommit SyncPolicy = iota
+	// SyncNever is the unsynced fast path for benchmarks: barriers ack
+	// at once and only segment rotation persists. A crash sheds the
+	// whole open segment.
 	SyncNever
 )
 
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncEveryRecord:
-		return "record"
 	case SyncOnCommit:
 		return "commit"
-	case SyncGroup:
-		return "group"
 	case SyncNever:
 		return "none"
 	default:
@@ -72,16 +72,12 @@ func (p SyncPolicy) String() string {
 // ParseSyncPolicy maps the String form back to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "record":
-		return SyncEveryRecord, nil
 	case "commit":
 		return SyncOnCommit, nil
-	case "group":
-		return SyncGroup, nil
 	case "none":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want commit or none)", s)
 }
 
 // Options configure a Log.
@@ -94,10 +90,8 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment past this size
 	// (default 64 KiB). Rotation always syncs the finished segment.
 	SegmentBytes int
-	// Policy is the sync policy (default SyncEveryRecord).
+	// Policy is the sync policy (default SyncOnCommit).
 	Policy SyncPolicy
-	// GroupEvery is the SyncGroup batch size (default 32 records).
-	GroupEvery int
 	// Chaos, when non-nil, drives simulated crashes: consulted at
 	// chaos.SiteWALAppend per append; plan CrashMode shapes the
 	// surviving image.
@@ -124,44 +118,26 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 10
 	}
-	if o.GroupEvery <= 0 {
-		o.GroupEvery = 32
-	}
 	return o
-}
-
-// segment is one log file (or in-memory image). buf always holds every
-// byte written, including the header; durable marks the synced prefix.
-type segment struct {
-	index   int
-	buf     []byte
-	durable int
-	file    *os.File
 }
 
 // Stats snapshots log activity.
 type Stats struct {
-	Appends  uint64
 	Syncs    uint64
 	Segments int
-	Bytes    int
-	Crashed  bool
 }
 
-// Log is the write-ahead log.
+// Log is the write-ahead log: a sequence of Segments, the last one
+// open for appends.
 type Log struct {
 	mu      sync.Mutex
 	opts    Options
-	segs    []*segment
+	segs    []*Segment
 	appends uint64
-	// durableRecs is the appended-record count at the last successful
-	// sync — every one of those records is inside the durable prefix.
-	// The replication lag gauge compares a replica's applied records
-	// against this (not appends: lazily buffered records are not yet
-	// promised to anyone).
+	// durableRecs is appends at the last sync that flushed bytes —
+	// every one of those records is inside the durable prefix.
 	durableRecs uint64
 	syncs       uint64
-	pending     int // records since last sync
 	crashed     bool
 	ioErr       error
 }
@@ -187,55 +163,45 @@ func MustOpen(opts Options) *Log {
 	return l
 }
 
-// rotate syncs and closes the current segment and opens the next one.
-// Called with mu held (or before the log is shared).
+// rotate syncs and closes the current segment and opens the next one,
+// whose header is durable at once. Called with mu held (or before the
+// log is shared).
 func (l *Log) rotate() error {
 	if cur := l.cur(); cur != nil {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
-		if cur.file != nil {
-			if err := cur.file.Close(); err != nil {
-				return err
-			}
-			cur.file = nil
+		if err := cur.Close(); err != nil {
+			return err
 		}
 	}
-	seg := &segment{index: len(l.segs)}
-	hdr := SegmentHeader(seg.index)
-	seg.buf = append(seg.buf, hdr...)
+	index, path := len(l.segs), ""
 	if l.opts.Dir != "" {
-		f, err := os.OpenFile(l.segPath(seg.index), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return err
-		}
-		seg.file = f
+		path = filepath.Join(l.opts.Dir, fmt.Sprintf("wal-%05d.seg", index))
 	}
-	l.segs = append(l.segs, seg)
-	if err := l.syncLocked(); err != nil { // header is durable immediately
+	var ship func(off int, data []byte)
+	if fn := l.opts.OnDurable; fn != nil {
+		ship = func(off int, data []byte) { fn(index, off, data) }
+	}
+	seg, err := OpenSegment(path, SegmentHeader(index), ship)
+	if err != nil {
 		return err
 	}
-	return nil
+	l.segs = append(l.segs, seg)
+	return l.syncLocked()
 }
 
-func (l *Log) segPath(index int) string {
-	return filepath.Join(l.opts.Dir, fmt.Sprintf("wal-%05d.seg", index))
-}
-
-func (l *Log) cur() *segment {
+func (l *Log) cur() *Segment {
 	if len(l.segs) == 0 {
 		return nil
 	}
 	return l.segs[len(l.segs)-1]
 }
 
-// Append frames, checksums and writes one record, then applies the sync
-// policy. It returns ErrCrashed once the simulated process has died —
-// nothing after that point is durable.
+// Append frames, checksums and writes one record; it never syncs,
+// except when the record fills the segment and rotation syncs it. It
+// returns ErrCrashed once the simulated process has died — nothing
+// after that point is durable.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -247,71 +213,45 @@ func (l *Log) Append(r Record) error {
 	}
 	encoded := Encode(nil, r)
 	l.appends++
+	cur := l.cur()
+	cur.mu.Lock()
 	if f := l.opts.Chaos; f != nil && f.Fire(chaos.SiteWALAppend) {
-		l.crashLocked(encoded)
+		l.crashLocked(cur, encoded)
+		cur.mu.Unlock()
 		return ErrCrashed
 	}
-	cur := l.cur()
-	cur.buf = append(cur.buf, encoded...)
-	if cur.file != nil {
-		if _, err := cur.file.Write(encoded); err != nil {
-			l.ioErr = err
-			return err
-		}
+	err := cur.writeLocked(encoded)
+	full := len(cur.buf) >= l.opts.SegmentBytes
+	cur.mu.Unlock()
+	if err == nil && full {
+		err = l.rotate()
 	}
-	l.pending++
-	sync := false
-	switch l.opts.Policy {
-	case SyncEveryRecord:
-		sync = true
-	case SyncOnCommit:
-		sync = r.Type == TCommit
-	case SyncGroup:
-		sync = l.pending >= l.opts.GroupEvery
+	if err != nil {
+		l.ioErr = err
 	}
-	if sync {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if len(cur.buf) >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			l.ioErr = err
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // syncLocked makes every written byte durable. Called with mu held.
 func (l *Log) syncLocked() error {
 	cur := l.cur()
-	if cur == nil {
-		return nil
-	}
-	if cur.durable == len(cur.buf) {
-		return nil
-	}
+	cur.mu.Lock()
+	defer cur.mu.Unlock()
 	var begin time.Time
 	if l.opts.SyncObserver != nil {
 		begin = time.Now()
 	}
-	if cur.file != nil {
-		if err := cur.file.Sync(); err != nil {
-			l.ioErr = err
-			return err
+	flushed, err := cur.syncLocked()
+	if err != nil {
+		l.ioErr = err
+		return err
+	}
+	if flushed {
+		l.durableRecs = l.appends
+		l.syncs++
+		if l.opts.SyncObserver != nil {
+			l.opts.SyncObserver(time.Since(begin))
 		}
-	}
-	prev := cur.durable
-	cur.durable = len(cur.buf)
-	l.durableRecs = l.appends
-	l.pending = 0
-	l.syncs++
-	if l.opts.OnDurable != nil {
-		l.opts.OnDurable(cur.index, prev, append([]byte(nil), cur.buf[prev:]...))
-	}
-	if l.opts.SyncObserver != nil {
-		l.opts.SyncObserver(time.Since(begin))
 	}
 	return nil
 }
@@ -336,21 +276,18 @@ func (l *Log) Sync() error {
 
 // CommitBarrier is the substrate commit-path durability hook: it blocks
 // until the records appended so far — the caller's CMT included — are
-// durable per the policy. Under SyncNever it acknowledges immediately
-// (the explicit fast path); under the batched policies it flushes the
-// open batch, so concurrent committers share one barrier. A crashed
-// log also acks immediately (see core.Durable).
+// durable per the policy. Under SyncOnCommit it forces the log (the
+// group commit in front of it lets concurrent committers share one
+// force); under SyncNever it acknowledges immediately. A crashed log
+// also acks immediately (see core.Durable).
 func (l *Log) CommitBarrier() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed {
-		// The simulated process is dead; the experiment's remaining
-		// activity is non-durable by definition. Acking (rather than
-		// erroring) keeps substrates crash-agnostic — recovery certifies
-		// the durable prefix, not the post-crash tail.
-		return nil
-	}
-	if l.opts.Policy == SyncNever {
+	if l.crashed || l.opts.Policy == SyncNever {
+		// A dead simulated process's remaining activity is non-durable
+		// by definition. Acking (rather than erroring) keeps substrates
+		// crash-agnostic — recovery certifies the durable prefix, not
+		// the post-crash tail.
 		return nil
 	}
 	return l.syncLocked()
@@ -359,20 +296,24 @@ func (l *Log) CommitBarrier() error {
 // crashLocked applies the simulated process death at the append whose
 // encoded bytes are in flight. The surviving image per CrashMode:
 //
-//	clean:   the synced prefix (record-aligned by construction);
+//	clean:   the synced prefix plus a plan-chosen count of the whole
+//	         unsynced records after it (those the OS happened to write
+//	         back), never the in-flight one — so a clean image may stop
+//	         between a transaction's PUSHes and its CMT;
 //	torn:    the synced prefix plus an arbitrary prefix of the unsynced
 //	         bytes including the in-flight record — a torn write;
 //	bitflip: the synced prefix with one bit flipped — latent corruption.
 //
-// Torn length and flip offset derive from the plan seed via Hash01, so
-// the whole post-crash image replays from the printed plan.
-func (l *Log) crashLocked(inflight []byte) {
+// The kept count, torn length and flip offset derive from the plan seed
+// via Hash01, so the whole post-crash image replays from the printed
+// plan. Called with mu and cur.mu held.
+func (l *Log) crashLocked(cur *Segment, inflight []byte) {
 	l.crashed = true
-	cur := l.cur()
 	var plan chaos.Plan
 	if l.opts.Chaos != nil {
 		plan = l.opts.Chaos.Plan()
 	}
+	img := cur.buf[:cur.durable]
 	switch plan.CrashMode {
 	case chaos.CrashTorn:
 		lost := append(append([]byte(nil), cur.buf[cur.durable:]...), inflight...)
@@ -380,60 +321,56 @@ func (l *Log) crashLocked(inflight []byte) {
 		if keep > len(lost) {
 			keep = len(lost)
 		}
-		cur.buf = append(cur.buf[:cur.durable], lost[:keep]...)
+		img = append(img, lost[:keep]...)
 	case chaos.CrashBitflip:
-		cur.buf = cur.buf[:cur.durable]
 		// Flip within the current segment's durable image, past the
 		// header when possible (a corrupted header drops the whole
 		// segment, which recovery also survives, but the interesting
 		// case is a mid-log flip).
 		lo := SegHeaderLen
-		if len(cur.buf) <= lo {
+		if len(img) <= lo {
 			lo = 0
 		}
-		if len(cur.buf) > lo {
-			span := (len(cur.buf) - lo) * 8
+		if len(img) > lo {
+			span := (len(img) - lo) * 8
 			bit := int(chaos.Hash01(plan.Seed, "wal/bitflip", l.appends) * float64(span))
 			if bit >= span {
 				bit = span - 1
 			}
-			cur.buf[lo+bit/8] ^= 1 << (bit % 8)
+			img[lo+bit/8] ^= 1 << (bit % 8)
 		}
 	default: // CrashClean
-		cur.buf = cur.buf[:cur.durable]
+		var ends []int
+		WalkFrames(cur.buf[cur.durable:], func(p []byte) error {
+			prev := 0
+			if len(ends) > 0 {
+				prev = ends[len(ends)-1]
+			}
+			ends = append(ends, prev+frameLen+len(p))
+			return nil
+		})
+		keep := int(chaos.Hash01(plan.Seed, "wal/clean", l.appends) * float64(len(ends)+1))
+		if keep > len(ends) {
+			keep = len(ends)
+		}
+		if keep > 0 {
+			img = cur.buf[:cur.durable+ends[keep-1]]
+		}
 	}
-	cur.durable = len(cur.buf)
-	if cur.file != nil {
-		// Mirror the surviving image onto the real file: truncate the
-		// lost suffix, rewrite the (possibly torn/flipped) tail.
-		cur.file.Close()
-		cur.file = nil
-		_ = os.WriteFile(l.segPath(cur.index), cur.buf, 0o644)
-	}
+	cur.crashLocked(img)
 }
 
 // Kill applies a simulated process death now, from outside the append
-// path: the surviving image is the synced prefix (the clean-crash
-// shape). The sharded engine uses it to propagate one shard's WAL death
-// to every other log — a process dies once, and each log freezes at its
-// own durable prefix (the cross-log skew recovery must resolve).
-// Idempotent; a no-op on an already-crashed log.
+// path: the surviving image is the synced prefix. The sharded engine
+// uses it to propagate one shard's WAL death to every other log — a
+// process dies once, and each log freezes at its own durable prefix
+// (the cross-log skew recovery must resolve). Idempotent.
 func (l *Log) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed {
-		return
-	}
-	l.crashed = true
-	cur := l.cur()
-	if cur == nil {
-		return
-	}
-	cur.buf = cur.buf[:cur.durable]
-	if cur.file != nil {
-		cur.file.Close()
-		cur.file = nil
-		_ = os.WriteFile(l.segPath(cur.index), cur.buf, 0o644)
+	if !l.crashed {
+		l.crashed = true
+		l.cur().Kill()
 	}
 }
 
@@ -448,12 +385,7 @@ func (l *Log) Crashed() bool {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	bytes := 0
-	for _, s := range l.segs {
-		bytes += len(s.buf)
-	}
-	return Stats{Appends: l.appends, Syncs: l.syncs, Segments: len(l.segs),
-		Bytes: bytes, Crashed: l.crashed}
+	return Stats{Syncs: l.syncs, Segments: len(l.segs)}
 }
 
 // Segments returns the on-"disk" image: every segment's surviving bytes
@@ -464,11 +396,7 @@ func (l *Log) Segments() [][]byte {
 	defer l.mu.Unlock()
 	out := make([][]byte, len(l.segs))
 	for i, s := range l.segs {
-		if l.crashed {
-			out[i] = append([]byte(nil), s.buf[:s.durable]...)
-		} else {
-			out[i] = append([]byte(nil), s.buf...)
-		}
+		out[i] = s.Image()
 	}
 	return out
 }
@@ -485,28 +413,19 @@ func (l *Log) Segments() [][]byte {
 //	      waiting.
 //
 // A crashed log still serves its frozen durable image: that is exactly
-// the prefix a straggling tailer is entitled to. Offsets beyond the
-// durable watermark are a caller bug (a tailer ahead of its source) and
-// return an error.
+// the prefix a straggling tailer is entitled to.
 func (l *Log) DurableAt(seg, off, max int) (data []byte, next, more bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if seg < 0 || seg >= len(l.segs) {
 		return nil, false, false, fmt.Errorf("wal: no segment %d (have %d)", seg, len(l.segs))
 	}
-	s := l.segs[seg]
-	if off < 0 || off > s.durable {
-		return nil, false, false, fmt.Errorf("wal: offset %d beyond durable watermark %d of segment %d", off, s.durable, seg)
+	data, more, err = l.segs[seg].DurableAt(off, max)
+	if err != nil {
+		return nil, false, false, fmt.Errorf("segment %d: %w", seg, err)
 	}
-	end := s.durable
-	if max > 0 && off+max < end {
-		end = off + max
-	}
-	data = append([]byte(nil), s.buf[off:end]...)
 	finished := seg < len(l.segs)-1 // rotation syncs, so a finished segment is fully durable
-	next = finished && end == s.durable
-	more = end < s.durable || finished
-	return data, next, more, nil
+	return data, finished && !more, more || finished, nil
 }
 
 // Close syncs and closes the log (no-op after a crash: the dead process
@@ -520,15 +439,7 @@ func (l *Log) Close() error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	for _, s := range l.segs {
-		if s.file != nil {
-			if err := s.file.Close(); err != nil {
-				return err
-			}
-			s.file = nil
-		}
-	}
-	return nil
+	return l.cur().Close()
 }
 
 // ReadDir loads segment images from a directory of wal-*.seg files in

@@ -125,8 +125,8 @@ func TestDecodeTruncatesBitflip(t *testing.T) {
 }
 
 func TestSegmentRotationAndSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncOnCommit, SyncGroup, SyncNever} {
-		l := MustOpen(Options{SegmentBytes: 256, Policy: pol, GroupEvery: 4})
+	for _, pol := range []SyncPolicy{SyncOnCommit, SyncNever} {
+		l := MustOpen(Options{SegmentBytes: 256, Policy: pol})
 		var want []Record
 		for i := 0; i < 40; i++ {
 			r := pushRec(uint64(i), "t", uint64(100+i), 0, "mem", "write", []int64{int64(i), 1}, 0)
@@ -138,6 +138,9 @@ func TestSegmentRotationAndSyncPolicies(t *testing.T) {
 			want = append(want, c)
 			if err := l.Append(c); err != nil {
 				t.Fatalf("%v append: %v", pol, err)
+			}
+			if err := l.CommitBarrier(); err != nil {
+				t.Fatalf("%v barrier: %v", pol, err)
 			}
 		}
 		if err := l.Close(); err != nil {
@@ -193,12 +196,22 @@ func TestFileBackedMatchesMemory(t *testing.T) {
 
 func TestCrashLosesUnsyncedSuffix(t *testing.T) {
 	// Crash at the 6th append under SyncNever: nothing past the header
-	// is durable, so the surviving image decodes to zero records.
+	// is synced, so the surviving image is the plan's choice of whole
+	// unsynced records — a clean prefix of the five completed appends,
+	// never the in-flight sixth.
 	plan := chaos.NewPlan(42).WithCrash(6, chaos.CrashClean)
 	l := MustOpen(Options{Policy: SyncNever, Chaos: plan.Injector()})
 	var lastErr error
+	var want []Record
 	for i := 0; i < 10; i++ {
-		lastErr = l.Append(pushRec(1, "t", uint64(i+1), i, "mem", "read", []int64{0}, 0))
+		r := pushRec(1, "t", uint64(i+1), i, "mem", "read", []int64{0}, 0)
+		if i < 5 {
+			want = append(want, r)
+		}
+		lastErr = l.Append(r)
+		if err := l.CommitBarrier(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !errors.Is(lastErr, ErrCrashed) {
 		t.Fatalf("appends after the crash point: %v", lastErr)
@@ -208,23 +221,27 @@ func TestCrashLosesUnsyncedSuffix(t *testing.T) {
 	}
 	segs := l.Segments()
 	recs, _, reason := DecodeAll(segs[len(segs)-1][SegHeaderLen:])
-	if len(recs) != 0 || reason != nil {
-		t.Fatalf("SyncNever crash survived %d records (reason %v)", len(recs), reason)
+	if reason != nil || len(recs) > 5 {
+		t.Fatalf("SyncNever clean crash survived %d records (reason %v)", len(recs), reason)
 	}
+	sameRecords(t, recs, want[:len(recs)])
 
-	// Same crash under per-record sync: the five completed appends are
-	// durable; only the in-flight sixth is lost.
-	l2 := MustOpen(Options{Policy: SyncEveryRecord, Chaos: plan.Injector()})
+	// Same crash with a commit barrier after every append: the five
+	// completed appends are durable; only the in-flight sixth is lost.
+	l2 := MustOpen(Options{Policy: SyncOnCommit, Chaos: plan.Injector()})
 	for i := 0; i < 10; i++ {
 		l2.Append(pushRec(1, "t", uint64(i+1), i, "mem", "read", []int64{0}, 0))
+		if err := l2.CommitBarrier(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	segs2 := l2.Segments()
 	recs2, _, reason2 := DecodeAll(segs2[len(segs2)-1][SegHeaderLen:])
 	if reason2 != nil {
-		t.Fatalf("per-record sync crash image has torn tail: %v", reason2)
+		t.Fatalf("per-record barrier crash image has torn tail: %v", reason2)
 	}
 	if len(recs2) != 5 {
-		t.Fatalf("per-record sync crash survived %d records, want 5", len(recs2))
+		t.Fatalf("per-record barrier crash survived %d records, want 5", len(recs2))
 	}
 }
 
@@ -232,9 +249,12 @@ func TestCrashTornAndBitflipStayDecodable(t *testing.T) {
 	for _, mode := range []chaos.CrashMode{chaos.CrashTorn, chaos.CrashBitflip} {
 		for seed := int64(1); seed <= 20; seed++ {
 			plan := chaos.NewPlan(seed).WithCrash(7, mode)
-			l := MustOpen(Options{Policy: SyncGroup, GroupEvery: 3, Chaos: plan.Injector()})
+			l := MustOpen(Options{Chaos: plan.Injector()})
 			for i := 0; i < 12; i++ {
 				l.Append(pushRec(1, "t", uint64(i+1), i, "mem", "write", []int64{int64(i), 9}, 0))
+				if i%3 == 2 {
+					l.CommitBarrier()
+				}
 			}
 			for _, seg := range l.Segments() {
 				if len(seg) < SegHeaderLen {
@@ -254,7 +274,7 @@ func TestCrashTornAndBitflipStayDecodable(t *testing.T) {
 }
 
 func TestCommitBarrier(t *testing.T) {
-	l := MustOpen(Options{Policy: SyncGroup, GroupEvery: 100})
+	l := MustOpen(Options{Policy: SyncOnCommit})
 	l.Append(sampleRecords()[0])
 	if st := l.Stats(); st.Syncs != 1 { // header sync only
 		t.Fatalf("unexpected syncs before barrier: %d", st.Syncs)
