@@ -102,11 +102,16 @@ repl-smoke:
 # follower, and the exactly-once ledger (dedup on blind retry, zero
 # acked loss, one acking primary per lease epoch) must hold. Also pins
 # the deposed-primary fence and follower redirect-loop termination.
+# Then six seeds of the in-process failover sweep (gated acks over
+# followers that pull through dropped polls, short answers and
+# partitions; it fails if no fault fired) and its JSON schema.
 failover-smoke:
 	$(GO) test ./internal/server/ -run 'TestFailoverSmoke|TestDeposedPrimaryFenced|TestFollowerRedirectLoopTerminates' -v
+	$(GO) test ./internal/bench/ -run 'TestFailoverSmoke|TestFailoverJSON' -v
 
 # The full failover sweep: 50 seeds of coordinator death, WAL crashes,
-# lossy replication links and full/asymmetric link partitions;
+# lossy follower links (dropped polls, short answers) and
+# full/asymmetric partitions;
 # lease-fenced zombie deposal, every promotion re-certified, sessioned
 # retries cross-checked through the history checker, non-zero exit if
 # any acknowledged transaction is lost.

@@ -35,13 +35,15 @@ import (
 // bit-flipped tail — is recovered and the committed prefix re-certified
 // from scratch.
 //
-// failover drives a shipping primary under chaos (coordinator death, a
-// seed-derived WAL crash, replica links that drop/duplicate/reorder
-// batches and suffer seeded full or asymmetric partitions) with
-// lease-gated acks and sessioned clients, promotes the most advanced
+// failover drives a replicated primary under chaos (coordinator death,
+// a seed-derived WAL crash, followers pulling through polls that are
+// dropped, answered short or cut by seeded full or asymmetric
+// partitions) with sessioned clients and acks that wait on the lease
+// and on both followers holding the bytes, promotes the most advanced
 // replica and demands the failover contract: zero transactions in
-// doubt, no acknowledged transaction lost, no retry double-applied, at
-// most one acking primary per lease epoch.
+// doubt, no gated ack lost, no retry double-applied, at most one acking
+// primary per lease epoch. The TCP server does not gate its acks on its
+// followers.
 //
 // -metrics/-trace/-http attach the observability suite: every rule
 // transition of the certifying shadow machines streams into the

@@ -15,20 +15,25 @@ import (
 )
 
 // The failover target: a replicated, lease-fenced primary (4-shard
-// engine shipping to two replicas over faulty links that drop,
-// duplicate, reorder, and PARTITION batches) dies mid-workload — a
+// engine whose two followers pull its streams through the
+// repl.Puller the server runs, over faulty links that drop polls,
+// answer short and PARTITION the follower) dies mid-workload — a
 // deterministic WAL crash plus armed coordinator death sites, so some
 // seeds kill it between prepare and commit; seeds whose crash never
 // fires lose their lease instead (the supervisor partitioned away) and
-// must refuse every subsequent ack themselves. The sweep then promotes
-// the more advanced replica and asserts the full self-healing
-// contract: the promotion re-certifies the merged global order with
-// zero transactions in doubt, the promoted chains prefix-extend the
-// other replica's, no acknowledged write is lost, every ambiguous
-// session request retried against the successor settles exactly once
-// (a dedup hit never re-executes), at most one primary acks per lease
-// epoch, and the promoted engine's histories replay clean through the
-// offline certifier.
+// must refuse every subsequent ack themselves. Acks pass the
+// in-process gate (repl.Gate), which drains both followers before
+// each ack; the TCP server has no such gate and acks before its
+// followers poll, so the zero-loss ledger below holds for gated acks
+// only. The sweep then promotes the more advanced replica and asserts
+// the full self-healing contract: the promotion re-certifies the
+// merged global order with zero transactions in doubt, the promoted
+// chains prefix-extend the other replica's, both followers held every
+// acknowledged write when the primary died, no acknowledged write is
+// lost, every ambiguous session request retried against the successor
+// settles exactly once (a dedup hit never re-executes), at most one
+// primary acks per lease epoch, and the promoted engine's histories
+// replay clean through the offline certifier.
 
 // failoverShards is the sweep's fixed partition count.
 const failoverShards = 4
@@ -37,18 +42,18 @@ const failoverShards = 4
 // driving the sweep's load (each owns a disjoint key slice).
 const failoverClients = 4
 
-// Replication-link fault sites (plan-derivation labels only; the link
-// injects by Hash01 draws, not through a chaos.Faults injector).
+// Follower-link fault-rate sites (plan-derivation labels only; the
+// repl.FaultSource injects by Hash01 draws, not through a chaos.Faults
+// injector).
 const (
-	SiteReplDrop    chaos.Site = "repl/drop"
-	SiteReplDup     chaos.Site = "repl/dup"
-	SiteReplReorder chaos.Site = "repl/reorder"
+	SiteReplDrop  chaos.Site = "repl/drop-rate"
+	SiteReplShort chaos.Site = "repl/short-rate"
 )
 
 // FailoverPlanFor builds one failover run's reproduction recipe:
 // coordinator death armed in the prepare→commit window, a
 // deterministic WAL crash whose append index is a pure function of the
-// seed, and per-replica link fault rates drawn from the same seed.
+// seed, and per-follower link fault rates drawn from the same seed.
 func FailoverPlanFor(seed int64, p ChaosParams) chaos.Plan {
 	p = p.WithDefaults()
 	plan := chaos.NewPlan(seed).
@@ -62,12 +67,11 @@ func FailoverPlanFor(seed int64, p ChaosParams) chaos.Plan {
 	return plan.WithCrash(1+uint64(frac*float64(est)), chaos.CrashMode(uint64(seed)%3))
 }
 
-// linkRates derives one replica link's drop/dup/reorder probabilities
-// from the seed (visit distinguishes the replicas).
-func linkRates(seed int64, visit uint64) (drop, dup, reorder float64) {
+// linkRates derives one follower link's drop/short probabilities from
+// the seed (visit distinguishes the followers).
+func linkRates(seed int64, visit uint64) (drop, short float64) {
 	return 0.25 * chaos.Hash01(seed, SiteReplDrop, visit),
-		0.25 * chaos.Hash01(seed, SiteReplDup, visit),
-		0.25 * chaos.Hash01(seed, SiteReplReorder, visit)
+		0.25 * chaos.Hash01(seed, SiteReplShort, visit)
 }
 
 // FailoverDetail is what a failover run adds to its Outcome.
@@ -80,12 +84,13 @@ type FailoverDetail struct {
 	// write — the zero-loss ledger.
 	Acked int `json:"acked_keys"`
 	// Partitions counts seeded partition windows installed on the
-	// replication links; AckWithheld counts commits whose ack the
-	// primary refused because a link lagged or its lease expired —
-	// every one becomes an ambiguous outcome the session client
-	// retries.
-	Partitions  int    `json:"partitions"`
-	AckWithheld uint64 `json:"ack_withheld"`
+	// follower links and DroppedPolls the polls they lost; AckWithheld
+	// counts commits whose ack the primary refused because a follower
+	// was cut off or behind, or its lease expired — every one becomes an
+	// ambiguous outcome the session client retries.
+	Partitions   int    `json:"partitions"`
+	DroppedPolls uint64 `json:"dropped_polls"`
+	AckWithheld  uint64 `json:"ack_withheld"`
 	// ZombieRefused counts post-expiry writes the deposed primary
 	// refused by itself; Retried and DedupHits describe the ambiguous
 	// requests settled against the successor (a dedup hit answers from
@@ -116,7 +121,7 @@ type sessionClient struct {
 }
 
 // runFailover is the "failover" target (see RunChaosOne): load a
-// shipping primary under chaos until it dies (or is deposed), promote
+// replicated primary under chaos until it dies (or is deposed), promote
 // the most advanced replica, and assert the full self-healing contract.
 func runFailover(seed int64, p ChaosParams, out *Outcome) error {
 	out.FailoverDetail = &FailoverDetail{}
@@ -124,28 +129,11 @@ func runFailover(seed int64, p ChaosParams, out *Outcome) error {
 	cfg := repl.Config{Substrate: "tl2", Shards: failoverShards, Keys: keys}
 	repA := repl.NewReplica(cfg)
 	repB := repl.NewReplica(cfg)
-	g := repl.NewGroup(1)
-	dropA, dupA, reA := linkRates(seed, 1)
-	dropB, dupB, reB := linkRates(seed, 2)
-	links := []*repl.Link{
-		g.Add(repA, seed, dropA, dupA, reA),
-		g.Add(repB, seed+1000, dropB, dupB, reB),
-	}
-
-	// Seeded partition windows — full and asymmetric — on each link,
-	// on the batch-index axis so replay is deterministic.
-	txns := p.Threads * p.OpsEach
-	span := uint64(txns)
-	for li, ln := range links {
-		rate := p.Rate * 4
-		if rate > 0.6 {
-			rate = 0.6
-		}
-		for _, w := range chaos.PartitionsFor(seed, li, rate, span, span/4+1, 2) {
-			ln.Partition(repl.PartitionWindow{From: w.From, To: w.To, Asym: w.Asym})
-			out.Partitions++
-		}
-	}
+	pullers := []*repl.Puller{repl.NewPuller(repA, 0), repl.NewPuller(repB, 0)}
+	// The sources wrap the engine, which needs the gate that drains
+	// them: they are built right after it boots, before any ack.
+	var srcs []*repl.FaultSource
+	var gate func() error
 
 	// The serving lease on a manual clock: the workload loop advances
 	// time and renews while the supervisor is "reachable"; when the
@@ -162,21 +150,41 @@ func runFailover(seed int64, p ChaosParams, out *Outcome) error {
 		if err := lease.Check(); err != nil {
 			return err
 		}
-		if n := g.Lagging(); n > 0 {
+		if err := gate(); err != nil {
 			out.AckWithheld++
-			return fmt.Errorf("replication lagging %d batch(es)", n)
+			return err
 		}
 		return nil
 	}
 	eng, err := shard.New(shard.Options{
 		Shards: failoverShards, Substrate: "tl2", Keys: keys, Seed: seed,
-		Durable: true, Ship: g.Ship, Plan: &plan,
+		Durable: true, Epoch: 1, Plan: &plan,
 		Retry: chaos.Default(seed), Suite: p.Obs,
 		AckCheck: ackCheck,
 	})
 	if err != nil {
 		return err
 	}
+
+	// Seeded partition windows — full and asymmetric — on each
+	// follower's poll-index axis, so replay is deterministic. A gated
+	// commit costs each follower about one poll per stream.
+	txns := p.Threads * p.OpsEach
+	span := uint64(txns * cfg.Streams())
+	for i := range pullers {
+		drop, short := linkRates(seed, uint64(i+1))
+		src := repl.NewFaultSource(repl.EngineSource(eng), seed, i, drop, short)
+		rate := p.Rate * 4
+		if rate > 0.6 {
+			rate = 0.6
+		}
+		for _, w := range chaos.PartitionsFor(seed, i, rate, span, span/4+1, 2) {
+			src.Partition(w)
+			out.Partitions++
+		}
+		srcs = append(srcs, src)
+	}
+	gate = repl.Gate(eng.Fence, pullers, srcs)
 	if err := eng.BrandLease(1); err != nil {
 		return err
 	}
@@ -272,9 +280,27 @@ func runFailover(seed int64, p ChaosParams, out *Outcome) error {
 	out.Acked = len(acked)
 	out.Faults = eng.FaultStats()
 
-	// Partitions heal: pending backlogs flush (asymmetric windows land
-	// as duplicates the replica's overlap check absorbs).
-	g.Heal()
+	// The gate held every ack until both followers had its bytes, so
+	// they hold every acknowledged write already, before the final
+	// drain tops them up.
+	for i, r := range []*repl.Replica{repA, repB} {
+		for k, v := range acked {
+			if got, _ := r.Get(k); got < v {
+				return fmt.Errorf("replica %d lacks an acknowledged write at the primary's death: key %d = %d, acked %d", i, k, got, v)
+			}
+		}
+	}
+
+	// Partitions heal, and each follower drains what the dead primary
+	// made durable — the final drain Server.Promote also runs.
+	for i, src := range srcs {
+		src.Heal()
+		if err := src.Drain(pullers[i]); err != nil {
+			return fmt.Errorf("replica %d final drain: %w", i, err)
+		}
+		dropped, _, _ := src.Counts()
+		out.DroppedPolls += dropped
+	}
 
 	// Both replicas must be undamaged and independently certifiable.
 	for i, r := range []*repl.Replica{repA, repB} {
@@ -308,8 +334,9 @@ func runFailover(seed int64, p ChaosParams, out *Outcome) error {
 	// A clean crash preserves exactly the durable prefix, so the
 	// promoted recovery must match the primary image's recovery
 	// transaction for transaction. (Torn and bitflip crashes may strip
-	// the primary's never-durable tail — which was never shipped and
-	// never acked — so only the zero-acked-loss check applies there.)
+	// the primary's never-durable tail — which no gate confirmed and no
+	// client saw acked — so only the zero-acked-loss check applies
+	// there.)
 	if out.CrashFired && clean {
 		primaryRep, err := shard.RecoverAndCertifyImage(eng.Image(), "tl2")
 		if err != nil {

@@ -7,7 +7,9 @@ import (
 )
 
 // TestFailoverSmoke is the tier-1 failover sweep: a handful of seeds
-// through the full kill → certify → promote → restart contract.
+// through the full kill → certify → promote → restart contract. The
+// fault model must fire: across the seeds some poll is dropped, some
+// partition window installed and some ack withheld.
 func TestFailoverSmoke(t *testing.T) {
 	report, outs, err := Sweep(ChaosParams{
 		Targets: []string{"failover"}, Seeds: 6,
@@ -16,11 +18,15 @@ func TestFailoverSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed := 0
+	var crashed, partitions int
+	var dropped, withheld uint64
 	for _, o := range outs {
 		if o.CrashFired {
 			crashed++
 		}
+		partitions += o.Partitions
+		dropped += o.DroppedPolls
+		withheld += o.AckWithheld
 		if o.InDoubt != 0 {
 			t.Fatalf("seed %d: %d in doubt", o.Seed, o.InDoubt)
 		}
@@ -30,6 +36,10 @@ func TestFailoverSmoke(t *testing.T) {
 	}
 	if crashed == 0 {
 		t.Fatal("no seed killed the primary mid-run; the sweep exercised nothing")
+	}
+	if dropped == 0 || partitions == 0 || withheld == 0 {
+		t.Fatalf("fault model idle across %d seeds: %d dropped polls, %d partition windows, %d withheld acks",
+			len(outs), dropped, partitions, withheld)
 	}
 }
 

@@ -95,7 +95,8 @@ func (o Outcome) counts() []count {
 	}
 	if f := o.FailoverDetail; f != nil {
 		cs = append(cs, count{"crashes", b2u(f.CrashFired)},
-			count{"partitions", uint64(f.Partitions)}, count{"acked_keys", uint64(f.Acked)},
+			count{"partitions", uint64(f.Partitions)}, count{"dropped_polls", f.DroppedPolls},
+			count{"ack_withheld", f.AckWithheld}, count{"acked_keys", uint64(f.Acked)},
 			count{"retried", uint64(f.Retried)}, count{"dedup_hits", uint64(f.DedupHits)},
 			count{"zombie_refused", f.ZombieRefused}, count{"promoted", uint64(f.PromotedTxns)})
 	}

@@ -1,25 +1,26 @@
 package chaos
 
 // Network partition derivation for the replication layer. A partition
-// is a window on a link's batch-index axis (not wall clock, so a
-// seeded sweep replays exactly): every batch shipped inside the window
-// is cut. Full partitions hold the batch entirely; asymmetric ones let
-// the batch through but lose the ack — the half-open failure that
-// leaves the primary unsure whether the replica has the bytes.
+// is a window on a follower link's poll-index axis (not wall clock, so
+// a seeded sweep replays exactly): every poll inside the window is
+// cut. Full partitions refuse the poll entirely; asymmetric ones answer
+// it but lose the follower's confirmation — the half-open failure that
+// leaves the primary unsure whether the follower has the bytes.
 
 // Partition sites (labels in the Hash01 scheme; they are not Injector
-// sites — the replication link consumes windows, not per-visit draws).
+// sites — a follower's repl.FaultSource consumes windows, not
+// per-visit draws).
 const (
 	// SiteReplPartition decides whether a link suffers a partition at
 	// all, and shapes the window.
 	SiteReplPartition Site = "repl/partition"
 	// SiteReplPartitionAsym decides whether a firing partition is
-	// asymmetric (delivered, ack lost) rather than full.
+	// asymmetric (delivered, confirmation lost) rather than full.
 	SiteReplPartitionAsym Site = "repl/partition-asym"
 )
 
-// PartitionWindow is one derived cut: batches with index in [From, To)
-// are cut; Asym selects the ack-loss flavor.
+// PartitionWindow is one derived cut: polls with index in [From, To)
+// are cut; Asym selects the confirmation-loss flavor.
 type PartitionWindow struct {
 	From, To uint64
 	Asym     bool
@@ -28,7 +29,7 @@ type PartitionWindow struct {
 // PartitionsFor derives the deterministic partition schedule for one
 // link: each of maxWindows candidate windows fires independently with
 // probability rate, opens uniformly in [0, span), runs for 1..maxLen
-// batches, and is asymmetric with probability 1/2. The same
+// polls, and is asymmetric with probability 1/2. The same
 // (seed, link) always yields the same schedule.
 func PartitionsFor(seed int64, link int, rate float64, span, maxLen uint64, maxWindows int) []PartitionWindow {
 	if maxLen == 0 || span == 0 || maxWindows <= 0 {

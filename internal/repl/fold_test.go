@@ -21,7 +21,7 @@ func foldImage(st *mvcc.Store) (map[uint64]int64, uint64) {
 }
 
 // TestPrimaryAndFollowerFoldsAgree: the primary's version stores are
-// fed by the live commit stream, the replica's by the shipped WAL,
+// fed by the live commit stream, the replica's by the pulled WAL,
 // both through mvcc.Store.Commit. On every substrate, after a seeded
 // mix (typed counter arithmetic included where the substrate has
 // typed cells), each shard's fold must be the same image at the same
@@ -31,15 +31,17 @@ func TestPrimaryAndFollowerFoldsAgree(t *testing.T) {
 	for _, sub := range backend.Substrates() {
 		t.Run(sub, func(t *testing.T) {
 			rep := NewReplica(Config{Substrate: sub, Shards: shards, Keys: keys})
-			g := NewGroup(1)
-			g.Add(rep, 1, 0, 0, 0)
+			p := NewPuller(rep, 0)
+			var src *FaultSource
 			eng, err := shard.New(shard.Options{
 				Shards: shards, Substrate: sub, Keys: keys, Seed: 3,
-				Durable: true, Ship: g.Ship,
+				Durable: true, Epoch: 1,
+				AckCheck: func() error { return src.Drain(p) },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			src = NewFaultSource(EngineSource(eng), 1, 0, 0, 0)
 			typed := mvcc.ModeFor(sub) == mvcc.ModeMap
 			if typed {
 				// Fund every counter so no withdraw in the mix overdraws
@@ -77,6 +79,9 @@ func TestPrimaryAndFollowerFoldsAgree(t *testing.T) {
 				}
 			}
 			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Drain(p); err != nil {
 				t.Fatal(err)
 			}
 			if err := rep.Poisoned(); err != nil {

@@ -12,14 +12,28 @@ import (
 	"pushpull/internal/wal"
 )
 
+// logSource serves one bare WAL as the only shard stream of a
+// one-shard replica; its coordinator stream stays empty.
+type logSource struct{ log *wal.Log }
+
+func (s logSource) Streams() int { return 2 }
+
+func (s logSource) PollStream(stream, seg, off, max int) (repl.StreamChunk, error) {
+	if stream != 0 {
+		return repl.StreamChunk{Epoch: 1}, nil
+	}
+	data, next, more, err := s.log.DurableAt(seg, off, max)
+	return repl.StreamChunk{Data: data, Next: next, More: more, Epoch: 1}, err
+}
+
 // TestReplayIdempotence is the duplicated-batch satellite: applying the
 // same WAL suffix twice (a retransmitted stream batch) must leave a
 // replica's replayed state byte-for-byte unchanged, across all six
-// substrates. Each substrate runs a workload through a WAL whose
-// durability seam ships into two replicas — one over a perfect link,
-// one over a duplication-heavy link — and then the last segment's
-// suffix is explicitly re-applied. Both replicas must agree exactly
-// with a from-scratch recovery of the log.
+// substrates. Each substrate runs a workload through a WAL that two
+// replicas pull after every commit — one over a perfect link, one over
+// a lossy one that drops polls and answers short — and then the last
+// segment's suffix is explicitly re-applied. Both replicas must agree
+// exactly with a from-scratch recovery of the log.
 func TestReplayIdempotence(t *testing.T) {
 	const keys = 24
 	for _, sub := range backend.Substrates() {
@@ -28,14 +42,14 @@ func TestReplayIdempotence(t *testing.T) {
 			cfg := repl.Config{Substrate: sub, Shards: 1, Keys: keys}
 			clean := repl.NewReplica(cfg)
 			duped := repl.NewReplica(cfg)
-			g := repl.NewGroup(1)
-			g.Add(clean, 1, 0, 0, 0)
-			g.Add(duped, 33, 0, 0.6, 0)
 
-			log := wal.MustOpen(wal.Options{
-				Policy: wal.SyncOnCommit, SegmentBytes: 2 << 10,
-				OnDurable: func(seg, off int, data []byte) { g.Ship(0, seg, off, data) },
-			})
+			log := wal.MustOpen(wal.Options{Policy: wal.SyncOnCommit, SegmentBytes: 2 << 10})
+			pullers := []*repl.Puller{repl.NewPuller(clean, 0), repl.NewPuller(duped, 0)}
+			srcs := []*repl.FaultSource{
+				repl.NewFaultSource(logSource{log}, 33, 0, 0, 0),
+				repl.NewFaultSource(logSource{log}, 33, 1, 0.3, 0.4),
+			}
+			gate := repl.Gate(func(uint64) { t.Fatal("a one-epoch log fenced") }, pullers, srcs)
 			be, err := backend.NewBackend(backend.Config{
 				Substrate: sub, Keys: keys, Seed: 7,
 				Durable: backend.NewGroupCommit(log),
@@ -56,6 +70,9 @@ func TestReplayIdempotence(t *testing.T) {
 					return v.Put(k, old+int64(i)+1)
 				}); err != nil {
 					t.Fatalf("txn %d: %v", i, err)
+				}
+				if err := gate(); err != nil {
+					t.Fatalf("txn %d not replicated: %v", i, err)
 				}
 			}
 
@@ -138,17 +155,10 @@ func TestReplayIdempotenceSharded(t *testing.T) {
 			cfg := repl.Config{Substrate: sub, Shards: shards, Keys: keys}
 			clean := repl.NewReplica(cfg)
 			duped := repl.NewReplica(cfg)
-			g := repl.NewGroup(1)
-			g.Add(clean, 1, 0, 0, 0)
-			g.Add(duped, 77, 0, 0.5, 0)
-
-			eng, err := shard.New(shard.Options{
+			eng, pullers, srcs := gated(t, shard.Options{
 				Shards: shards, Substrate: sub, Keys: keys, Seed: 11,
-				Durable: true, Ship: g.Ship,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, 77, link{rep: clean}, link{rep: duped, drop: 0.3, short: 0.4})
+			var err error
 			rng := rand.New(rand.NewSource(13))
 			ka, kb := crossPair(eng.Router(), keys)
 			for i := 0; i < 150; i++ {
@@ -167,6 +177,7 @@ func TestReplayIdempotenceSharded(t *testing.T) {
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
+			drainAll(t, pullers, srcs)
 
 			// Re-apply the replica's entire held image — every shard
 			// stream segment and the coordinator log — as duplicates.

@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,67 +11,65 @@ import (
 )
 
 // TestPartitionedLinkWithholdsAcks drives the full partition contract:
-// while a link is cut the backlog shows up in Group.Lagging, the
-// engine's ack gate (wired to Lagging) withholds acks even though the
-// commit is locally durable, and once the partition heals the backlog
-// flushes in order, the replica converges byte-for-byte, and acks
-// resume. Asymmetric windows deliver the bytes but lose the ack, so
-// the heal-time retransmit must land as pure duplicates.
+// while the follower's link is cut the ack gate withholds acks even
+// though each commit is locally durable, and once the partition heals
+// the follower catches up, converges byte-for-byte, and acks resume. A
+// full window keeps the bytes from the follower; an asymmetric one
+// delivers them but loses the confirmation, so the follower holds
+// bytes the gate still counts as unreplicated.
 func TestPartitionedLinkWithholdsAcks(t *testing.T) {
 	for _, asym := range []bool{false, true} {
 		t.Run(fmt.Sprintf("asym=%v", asym), func(t *testing.T) {
 			const shards, keys = 2, 16
 			cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 			rep := repl.NewReplica(cfg)
-			g := repl.NewGroup(1)
-			ln := g.Add(rep, 1, 0, 0, 0)
-			// Cut batches 2..1e6: the first transaction or two ship clean,
-			// everything after queues until Heal.
-			ln.Partition(repl.PartitionWindow{From: 2, To: 1 << 20, Asym: asym})
-
-			eng, err := shard.New(shard.Options{
+			eng, pullers, srcs := gated(t, shard.Options{
 				Shards: shards, Substrate: "tl2", Keys: keys, Seed: 7,
-				Durable: true, Ship: g.Ship,
-				AckCheck: func() error {
-					if n := g.Lagging(); n > 0 {
-						return fmt.Errorf("replica lagging by %d batches", n)
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, 1, link{rep: rep})
+			src := srcs[0]
+			// Cut polls 8..1e6: the first transaction or two replicate
+			// clean, everything after waits for the heal.
+			src.Partition(chaos.PartitionWindow{From: 8, To: 1 << 20, Asym: asym})
+
 			var acked, withheld int
 			for i := 0; i < 20; i++ {
 				_, _, err := eng.Do([]shard.Op{{Kind: shard.OpPut, Key: uint64(i % keys), Val: int64(i)}})
-				if err != nil {
-					withheld++
-				} else {
+				switch {
+				case err == nil:
 					acked++
+				case errors.Is(err, repl.ErrPartitioned):
+					withheld++
+				default:
+					t.Fatalf("txn %d: %v", i, err)
 				}
 			}
-			if withheld == 0 {
-				t.Fatal("no ack was withheld while the link was partitioned")
+			if acked == 0 || withheld == 0 {
+				t.Fatalf("%d acked, %d withheld while the link was partitioned", acked, withheld)
 			}
-			if ln.Pending() == 0 {
-				t.Fatal("partitioned link holds no backlog")
+			if _, _, cut := src.Counts(); cut == 0 {
+				t.Fatal("partitioned link cut no poll")
 			}
-			if g.Lagging() != ln.Pending() {
-				t.Fatalf("Lagging %d != link pending %d", g.Lagging(), ln.Pending())
+			// A full cut leaves the follower short of the primary's
+			// durable streams; an asymmetric one delivered every byte.
+			held := true
+			for s := 0; s < cfg.Streams(); s++ {
+				if rep.AppliedRecords(s) != eng.StreamAppends(s) {
+					held = false
+				}
+			}
+			if held != asym {
+				t.Fatalf("asym=%v: follower holds every durable byte = %v", asym, held)
 			}
 
-			g.Heal()
-			if g.Lagging() != 0 {
-				t.Fatalf("backlog after heal: %d", g.Lagging())
-			}
-			// Acks resume and the new write replicates synchronously.
+			src.Heal()
+			// Acks resume and the new write replicates before its ack.
 			if _, _, err := eng.Do([]shard.Op{{Kind: shard.OpPut, Key: 3, Val: 99}}); err != nil {
 				t.Fatalf("post-heal write not acked: %v", err)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
+			drainAll(t, pullers, srcs)
 			if err := rep.Poisoned(); err != nil {
 				t.Fatal(err)
 			}
@@ -80,16 +79,6 @@ func TestPartitionedLinkWithholdsAcks(t *testing.T) {
 					t.Fatalf("key %d: replica %d, primary %d", k, got, want)
 				}
 			}
-			ls := ln.Stats()
-			if ls.Partitioned == 0 || ls.Healed == 0 {
-				t.Fatalf("partition counters: %+v", ls)
-			}
-			if asym {
-				// Every asym-delivered batch retransmits as a duplicate.
-				if rs := rep.Stats(); rs.Duplicates == 0 {
-					t.Fatalf("asymmetric heal produced no duplicates: %+v", rs)
-				}
-			}
 			if _, err := rep.Certify(); err != nil {
 				t.Fatalf("certify after heal: %v", err)
 			}
@@ -97,34 +86,39 @@ func TestPartitionedLinkWithholdsAcks(t *testing.T) {
 	}
 }
 
-// TestPartitionWindowPassesByIndex checks the batch-index flavor of
-// healing: once shipping traffic moves past the window's To index, the
-// pending backlog flushes on the next shipped batch with no explicit
-// Heal call.
+// TestPartitionWindowPassesByIndex checks the poll-index flavor of
+// healing: once the follower's polls move past the window's To index,
+// it catches up on its next sync with no explicit Heal call.
 func TestPartitionWindowPassesByIndex(t *testing.T) {
 	const shards, keys = 1, 8
 	cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 	rep := repl.NewReplica(cfg)
-	g := repl.NewGroup(1)
-	ln := g.Add(rep, 1, 0, 0, 0)
-	ln.Partition(repl.PartitionWindow{From: 0, To: 3})
-
 	eng, err := shard.New(shard.Options{
 		Shards: shards, Substrate: "tl2", Keys: keys, Seed: 7,
-		Durable: true, Ship: g.Ship,
+		Durable: true, Epoch: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := repl.NewPuller(rep, 0)
+	src := repl.NewFaultSource(repl.EngineSource(eng), 1, 0, 0, 0)
+	src.Partition(chaos.PartitionWindow{From: 0, To: 3})
+
+	var refused int
 	for i := 0; i < 10; i++ {
 		if _, _, err := eng.Do([]shard.Op{{Kind: shard.OpPut, Key: uint64(i % keys), Val: int64(i)}}); err != nil {
 			t.Fatalf("txn %d: %v", i, err)
 		}
-	}
-	if ln.Pending() != 0 {
-		t.Fatalf("backlog did not flush after the window passed: %d pending", ln.Pending())
+		if err := src.Drain(p); errors.Is(err, repl.ErrPartitioned) {
+			refused++
+		} else if err != nil {
+			t.Fatalf("sync %d: %v", i, err)
+		}
 	}
 	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < keys; k++ {
@@ -133,8 +127,8 @@ func TestPartitionWindowPassesByIndex(t *testing.T) {
 			t.Fatalf("key %d: replica %d, primary %d", k, got, want)
 		}
 	}
-	if ls := ln.Stats(); ls.Partitioned != 3 || ls.Healed != 3 {
-		t.Fatalf("expected 3 held + 3 flushed, got %+v", ls)
+	if _, _, cut := src.Counts(); cut != 3 || refused != 3 {
+		t.Fatalf("expected 3 cut polls refusing 3 syncs, got %d cut, %d refused", cut, refused)
 	}
 }
 
@@ -175,7 +169,7 @@ func TestPartitionsForDeterminism(t *testing.T) {
 }
 
 // TestReplicaSessionFold checks that a replica folds the exactly-once
-// session table from the shipped streams — both the single-shard
+// session table from the pulled streams — both the single-shard
 // (TSession in a shard WAL) and cross-shard (coordinator log) halves —
 // and exposes the branded lease epoch, so a promoted follower can
 // answer retries for commits it learned only over the wire.
@@ -183,16 +177,9 @@ func TestReplicaSessionFold(t *testing.T) {
 	const shards, keys = 3, 32
 	cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 	rep := repl.NewReplica(cfg)
-	g := repl.NewGroup(1)
-	g.Add(rep, 1, 0, 0, 0)
-
-	eng, err := shard.New(shard.Options{
+	eng, pullers, srcs := gated(t, shard.Options{
 		Shards: shards, Substrate: "tl2", Keys: keys, Seed: 7,
-		Durable: true, Ship: g.Ship,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1, link{rep: rep})
 	ka, kb := crossPair(eng.Router(), keys)
 	if _, _, _, err := eng.DoSession(11, 1, []shard.Op{{Kind: shard.OpPut, Key: ka, Val: 5}}); err != nil {
 		t.Fatal(err)
@@ -209,6 +196,7 @@ func TestReplicaSessionFold(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	drainAll(t, pullers, srcs)
 
 	sess := rep.Sessions()
 	if sess[11].SeqNo != 1 || sess[12].SeqNo != 7 {

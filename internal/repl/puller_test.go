@@ -9,7 +9,7 @@ import (
 )
 
 // TestPullerCatchUp drives the asynchronous pull path: a primary runs
-// with no ship seam at all; a follower polls its durable streams
+// with no ack gate at all; a follower polls its durable streams
 // through EngineSource and must converge to the primary's state, with
 // lag gauges draining to zero at quiescence.
 func TestPullerCatchUp(t *testing.T) {

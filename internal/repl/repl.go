@@ -1,5 +1,5 @@
-// Package repl is the replicated-serving layer: primary-side WAL
-// shipping, follower replay, and certified failover.
+// Package repl is the replicated-serving layer: followers pulling the
+// primary's WAL, follower replay, and certified failover.
 //
 // The design leans entirely on two facts the lower layers already
 // guarantee:
@@ -13,13 +13,16 @@
 //     no separate replication state machine to keep honest.
 //
 //  2. Durability has a single choke point: every byte becomes durable
-//     inside one barrier (wal.Segment.syncLocked), and the commit
-//     ack happens strictly after. Shipping synchronously at that seam
-//     (shard.Options.Ship → Group.Ship) makes "no acknowledged commit
-//     is lost on failover" structural: by the time any client sees OK,
-//     the bytes were delivered to — and acked by — every live replica,
-//     over a link that retransmits through drops, duplicates, and
-//     reorders until the replica acks.
+//     inside one barrier (wal.Segment.syncLocked), and a follower is
+//     served only durable bytes. There is one transport: a Puller
+//     polls a Source with a per-stream cursor (segment, offset), and
+//     that cursor is the follower's durable watermark. When to ack is
+//     a separate decision. The TCP server acks before its followers
+//     poll, so a write acked just before the primary dies can be
+//     missing from every follower. The in-process ack gate (Gate)
+//     drains every follower before it acks, so under it no
+//     acknowledged commit is lost on failover, even through a
+//     FaultSource that drops polls, answers short and partitions.
 //
 // A Replica continuously folds the stream through recovery.Replayer
 // (per shard) plus the coordinator decoder — the same consistency cut
@@ -30,13 +33,12 @@
 // and the Kahn-merged global order, exactly as a local restart would.
 //
 // Fencing: the serving epoch is branded into the coordinator log
-// (forced, so it ships and survives restart) and stamped on every
+// (forced, so it replicates and survives restart) and stamped on every
 // batch. A replica that has seen epoch E refuses batches with a lower
-// epoch (ErrFenced); the refusing link reports back through
-// Group.OnFenced, which fences the zombie engine — its coordinator log
-// refuses further decisions and its Do withholds acks. A zombie can
-// scribble on its own dead branch, but it can neither ack a client nor
-// corrupt a replica.
+// epoch (ErrFenced); the ack gate that drained it fences the zombie
+// engine — its coordinator log refuses further decisions and its Do
+// withholds acks. A zombie can scribble on its own dead branch, but it
+// can neither ack a client nor corrupt a replica.
 //
 // The promotion certification obligation is per stream, deliberately:
 // the promoted node's per-shard commit chains and coordinator GSN
@@ -52,7 +54,7 @@ import "errors"
 var (
 	// ErrGap reports a batch whose offset is past the replica's
 	// contiguous prefix for that stream — bytes in between are missing.
-	// The shipper resends from the replica's watermark.
+	// The puller resumes from the replica's watermark.
 	ErrGap = errors.New("repl: batch beyond contiguous prefix (gap)")
 	// ErrFenced reports a batch stamped with a lower epoch than the
 	// replica has already seen: the sender is a zombie predecessor and
@@ -102,7 +104,7 @@ type Cursor struct {
 	Off int `json:"off"`
 }
 
-// Batch is one shipped byte range of one stream, stamped with the
+// Batch is one pulled byte range of one stream, stamped with the
 // sender's serving epoch. Off is the absolute offset of Data[0] within
 // segment Seg.
 type Batch struct {

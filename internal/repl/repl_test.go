@@ -24,27 +24,64 @@ func crossPair(router shard.Router, limit uint64) (uint64, uint64) {
 	panic("no cross-shard pair")
 }
 
+// link describes one in-process follower: its replica and the fault
+// rates of the source it pulls through (zero rates make a perfect
+// link).
+type link struct {
+	rep         *repl.Replica
+	drop, short float64
+}
+
+// gated boots a durable engine (epoch 1 unless opts names one) whose
+// acks wait on repl.Gate over links, each follower pulling the engine
+// through its own seeded fault source.
+func gated(t *testing.T, opts shard.Options, seed int64, links ...link) (*shard.Engine, []*repl.Puller, []*repl.FaultSource) {
+	t.Helper()
+	var gate func() error
+	opts.Durable, opts.AckCheck = true, func() error { return gate() }
+	if opts.Epoch == 0 {
+		opts.Epoch = 1
+	}
+	eng, err := shard.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pullers []*repl.Puller
+	var srcs []*repl.FaultSource
+	for i, l := range links {
+		pullers = append(pullers, repl.NewPuller(l.rep, 0))
+		srcs = append(srcs, repl.NewFaultSource(repl.EngineSource(eng), seed, i, l.drop, l.short))
+	}
+	gate = repl.Gate(eng.Fence, pullers, srcs)
+	return eng, pullers, srcs
+}
+
+// drainAll is the final drain: heal every source and pull each follower
+// up to the primary's durable end.
+func drainAll(t *testing.T, pullers []*repl.Puller, srcs []*repl.FaultSource) {
+	t.Helper()
+	for i, src := range srcs {
+		src.Heal()
+		if err := src.Drain(pullers[i]); err != nil {
+			t.Fatalf("follower %d final drain: %v", i, err)
+		}
+	}
+}
+
 func TestShipAndServe(t *testing.T) {
 	const shards, keys = 3, 32
 	cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 	clean := repl.NewReplica(cfg)
 	faulty := repl.NewReplica(cfg)
-	g := repl.NewGroup(1)
-	g.Add(clean, 1, 0, 0, 0)
-	fl := g.Add(faulty, 99, 0.25, 0.2, 0.15)
-
-	eng, err := shard.New(shard.Options{
+	eng, pullers, srcs := gated(t, shard.Options{
 		Shards: shards, Substrate: "tl2", Keys: keys, Seed: 7,
-		Durable: true, Ship: g.Ship,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 99, link{rep: clean}, link{rep: faulty, drop: 0.25, short: 0.3})
 	if eng.Epoch() != 1 {
-		t.Fatalf("shipping engine epoch = %d, want 1", eng.Epoch())
+		t.Fatalf("replicated engine epoch = %d, want 1", eng.Epoch())
 	}
 	rng := rand.New(rand.NewSource(11))
 	ka, kb := crossPair(eng.Router(), keys)
+	var err error
 	for i := 0; i < 300; i++ {
 		if rng.Intn(3) == 0 {
 			_, _, err = eng.Do([]shard.Op{
@@ -63,6 +100,7 @@ func TestShipAndServe(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	drainAll(t, pullers, srcs)
 
 	for _, rep := range []*repl.Replica{clean, faulty} {
 		if err := rep.Poisoned(); err != nil {
@@ -87,12 +125,11 @@ func TestShipAndServe(t *testing.T) {
 	if err := repl.CheckPrefixExtension(faulty.Chains(), clean.Chains()); err != nil {
 		t.Fatal(err)
 	}
-	ls := fl.Stats()
-	if ls.Dropped+ls.Duplicated+ls.Reordered == 0 {
-		t.Fatalf("faulty link injected nothing: %+v", ls)
+	if dropped, short, _ := srcs[1].Counts(); dropped == 0 || short == 0 {
+		t.Fatalf("faulty source injected too little: %d dropped, %d short", dropped, short)
 	}
-	if fs := faulty.Stats(); fs.Duplicates+fs.Gaps == 0 {
-		t.Fatalf("faulty stream exercised no dedup/gap handling: %+v", fs)
+	if dropped, short, cut := srcs[0].Counts(); dropped+short+cut != 0 {
+		t.Fatalf("clean source injected faults: %d dropped, %d short, %d cut", dropped, short, cut)
 	}
 	if cs := clean.Stats(); cs.Gaps != 0 || cs.Duplicates != 0 {
 		t.Fatalf("clean link saw faults: %+v", cs)
@@ -113,21 +150,14 @@ func TestFailover(t *testing.T) {
 			cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 			repA := repl.NewReplica(cfg)
 			repB := repl.NewReplica(cfg)
-			g := repl.NewGroup(1)
-			g.Add(repA, seed, 0.2, 0.15, 0.1)
-			g.Add(repB, seed+1000, 0.1, 0.1, 0.2)
 
 			plan := chaos.NewPlan(seed).
 				WithRate(chaos.SiteCoordPrepared, 0.02).
 				WithRate(chaos.SiteCoordCommit, 0.02).
 				WithCrash(uint64(40+seed*13), chaos.CrashClean)
-			eng, err := shard.New(shard.Options{
-				Shards: shards, Substrate: "tl2", Keys: keys, Seed: seed,
-				Durable: true, Ship: g.Ship, Plan: &plan,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng, pullers, srcs := gated(t, shard.Options{
+				Shards: shards, Substrate: "tl2", Keys: keys, Seed: seed, Plan: &plan,
+			}, seed, link{rep: repA, drop: 0.2, short: 0.25}, link{rep: repB, drop: 0.1, short: 0.3})
 
 			rng := rand.New(rand.NewSource(seed))
 			ka, kb := crossPair(eng.Router(), keys)
@@ -157,6 +187,7 @@ func TestFailover(t *testing.T) {
 				t.Fatal("chaos plan never killed the primary; test exercised nothing")
 			}
 			eng.Kill()
+			drainAll(t, pullers, srcs)
 
 			// The primary's own durable image must certify; it is the
 			// reference for what the cluster durably committed.
@@ -190,7 +221,7 @@ func TestFailover(t *testing.T) {
 			}
 
 			// Clean crash ⇒ the primary's durable image is exactly the
-			// shipped prefix, so the promoted recovery must match the
+			// pulled prefix, so the promoted recovery must match the
 			// primary's own recovery transaction for transaction.
 			if got, want := promRep.RecoveredTxns(), primaryRep.RecoveredTxns(); got != want {
 				t.Fatalf("promoted recovered %d txns, primary image has %d", got, want)
@@ -240,23 +271,25 @@ func total(r *repl.Replica) uint64 {
 
 // TestFencing promotes a replica while the old primary is still alive
 // (the false-suspicion / partition case) and verifies the zombie is
-// fenced: the new generation's replica refuses its stale batches, the
+// fenced: the new generation's replica refuses its stale bytes, the
 // zombie engine stops acknowledging, and its coordinator log refuses
 // further decisions.
 func TestFencing(t *testing.T) {
 	const shards, keys = 2, 16
 	cfg := repl.Config{Substrate: "tl2", Shards: shards, Keys: keys}
 	repA := repl.NewReplica(cfg)
-	g := repl.NewGroup(1)
-	g.Add(repA, 5, 0, 0, 0)
+	pullers := []*repl.Puller{repl.NewPuller(repA, 0)}
+	var srcs []*repl.FaultSource
+	var gate func() error
 	eng, err := shard.New(shard.Options{
 		Shards: shards, Substrate: "tl2", Keys: keys, Seed: 3,
-		Durable: true, Ship: g.Ship,
+		Durable: true, Epoch: 1, AckCheck: func() error { return gate() },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.OnFenced(eng.Fence)
+	srcs = append(srcs, repl.NewFaultSource(repl.EngineSource(eng), 5, 0, 0, 0))
+	gate = repl.Gate(eng.Fence, pullers, srcs)
 	for i := 0; i < 50; i++ {
 		if _, _, err := eng.Do([]shard.Op{{Kind: shard.OpPut, Key: uint64(i % keys), Val: int64(i)}}); err != nil {
 			t.Fatal(err)
@@ -264,29 +297,27 @@ func TestFencing(t *testing.T) {
 	}
 
 	// Promote repA without killing the primary (it is partitioned away,
-	// not dead). The new generation re-seeds fresh replicas from the new
+	// not dead). The new generation seeds a fresh replica from the new
 	// primary's boot checkpoint stream.
 	mr, err := repA.Certify()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep2 := repl.NewReplica(cfg)
-	g2 := repl.NewGroup(mr.Epoch + 1)
-	g2.Add(rep2, 6, 0, 0, 0)
-	eng2, err := shard.New(shard.Options{
+	eng2, pullers2, srcs2 := gated(t, shard.Options{
 		Shards: shards, Substrate: "tl2", Keys: keys, Seed: 3,
-		Durable: true, RecoverFrom: repA.Image(), Epoch: mr.Epoch + 1, Ship: g2.Ship,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		RecoverFrom: repA.Image(), Epoch: mr.Epoch + 1,
+	}, 6, link{rep: rep2})
+	drainAll(t, pullers2, srcs2)
 	if rep2.Epoch() != mr.Epoch+1 {
 		t.Fatalf("new-generation replica epoch = %d, want %d", rep2.Epoch(), mr.Epoch+1)
 	}
 
-	// The partition heals: the zombie's group now reaches the
+	// The partition heals: the zombie's gate now reaches the
 	// new-generation replica — which fences it off.
-	g.Add(rep2, 7, 0, 0, 0)
+	pullers = append(pullers, repl.NewPuller(rep2, 0))
+	srcs = append(srcs, repl.NewFaultSource(repl.EngineSource(eng), 7, 1, 0, 0))
+	gate = repl.Gate(eng.Fence, pullers, srcs)
 	_, _, err = eng.Do([]shard.Op{{Kind: shard.OpPut, Key: 1, Val: 999}})
 	if !errors.Is(err, shard.ErrFenced) {
 		t.Fatalf("zombie commit not fenced: %v", err)
@@ -307,5 +338,4 @@ func TestFencing(t *testing.T) {
 	if err := eng2.FinalCheck(); err != nil {
 		t.Fatal(err)
 	}
-	_ = mr
 }

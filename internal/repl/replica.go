@@ -302,7 +302,7 @@ func (r *Replica) SnapshotCut() *mvcc.Cut {
 func (r *Replica) MVCCStats() mvcc.Stats { return mvcc.SumStats(r.stores) }
 
 // Watermark returns one stream's contiguous durable prefix — the ack
-// point a resending shipper resumes from.
+// point a puller resumes from.
 func (r *Replica) Watermark(stream int) Cursor {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -235,9 +235,9 @@ func (sv *Supervisor) failover() error {
 	}
 
 	// Pick the most-advanced follower: the one whose replica holds the
-	// longest applied prefix loses the least acked work. (Acked work
-	// can only be lost if it never reached ANY follower — which the
-	// ack gate prevents when links report lag.)
+	// longest applied prefix loses the least acked work. (Acked work is
+	// lost when it never reached ANY follower, and nothing here
+	// prevents that: the server acks before its followers poll.)
 	var cands []candidate
 	sv.mu.Lock()
 	nodes := sv.nodes

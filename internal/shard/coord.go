@@ -86,7 +86,7 @@ const (
 	cRecEnd    = 2
 	// cRecEpoch brands the log with its serving generation. Appended
 	// (forced) at engine boot and at every promotion, so the epoch is
-	// durable, ships to every replica with the stream, and survives
+	// durable, reaches every follower with the stream, and survives
 	// restart — the fencing token's source of truth.
 	cRecEpoch = 3
 	// cRecSession carries one exactly-once dedup entry. A live entry is
@@ -99,7 +99,8 @@ const (
 	cRecSession = 4
 	// cRecLease brands the log with the lease epoch its holder was
 	// granted — the supervisor's "at most one acking primary per lease
-	// epoch" token, durable and shipped next to the serving-epoch fence.
+	// epoch" token, durable and replicated next to the serving-epoch
+	// fence.
 	cRecLease = 5
 	// cRecBatch journals one sealed sequencer epoch: every commit
 	// decision of the batch, GSN-ascending, forced as ONE durable
@@ -118,24 +119,20 @@ func coordHeader() []byte {
 }
 
 // CoordLog is the coordinator journal: one wal.Segment (durable
-// watermark, optional backing file, ship seam, Kill/Image/DurableAt/
-// Sync/Close) plus the decision records and the epoch fence.
+// watermark, optional backing file, Kill/Image/DurableAt/Sync/Close)
+// plus the decision records and the epoch fence.
 type CoordLog struct {
 	*wal.Segment
-	// fenced/epoch are atomics so Fence can be called from inside the
-	// ship callback — the replica that refuses a stale batch does so
-	// synchronously inside this log's own barrier.
+	// fenced/epoch are atomics so Fence can be called from an ack gate
+	// while a decision is being appended.
 	fenced atomic.Bool
 	epoch  atomic.Uint64
 }
 
 // OpenCoordLog creates a coordinator log whose header is durable; an
-// empty path keeps it in memory (tests, simulated crashes). ship, when
-// non-nil, receives every newly durable byte range — the header first,
-// so a replica attached at boot sees the log from byte zero (see
-// wal.OpenSegment).
-func OpenCoordLog(path string, ship func(off int, data []byte)) (*CoordLog, error) {
-	seg, err := wal.OpenSegment(path, coordHeader(), ship)
+// empty path keeps it in memory (tests, simulated crashes).
+func OpenCoordLog(path string) (*CoordLog, error) {
+	seg, err := wal.OpenSegment(path, coordHeader())
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +262,6 @@ func (l *CoordLog) Epoch() uint64 { return l.epoch.Load() }
 // Fence marks the log fenced off by a higher epoch: every further
 // append fails with ErrCoordFenced, so a zombie coordinator can no
 // longer decide commits. A no-op unless epoch exceeds this log's own.
-// Safe to call from inside an OnDurable callback.
 func (l *CoordLog) Fence(epoch uint64) {
 	if epoch > l.epoch.Load() {
 		l.fenced.Store(true)

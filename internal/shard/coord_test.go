@@ -26,7 +26,7 @@ func sampleRecs() []CommitRec {
 }
 
 func TestCoordLogRoundTrip(t *testing.T) {
-	l, err := OpenCoordLog("", nil)
+	l, err := OpenCoordLog("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCoordLogRoundTrip(t *testing.T) {
 
 func TestCoordLogFileBacked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.log")
-	l, err := OpenCoordLog(path, nil)
+	l, err := OpenCoordLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestCoordLogFileBacked(t *testing.T) {
 		t.Fatalf("file-backed decode: %+v, %v", got, trunc)
 	}
 	// Reopening the same path must refuse (exclusive create).
-	if _, err := OpenCoordLog(path, nil); err == nil {
+	if _, err := OpenCoordLog(path); err == nil {
 		t.Fatal("expected O_EXCL failure on existing coordinator log")
 	}
 }
 
 func TestCoordLogTornTail(t *testing.T) {
-	l, _ := OpenCoordLog("", nil)
+	l, _ := OpenCoordLog("")
 	for _, r := range sampleRecs() {
 		if err := l.AppendCommit(r); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCoordLogTornTail(t *testing.T) {
 }
 
 func TestCoordLogKill(t *testing.T) {
-	l, _ := OpenCoordLog("", nil)
+	l, _ := OpenCoordLog("")
 	if err := l.AppendCommit(sampleRecs()[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDecodeCoordLogEmptyAndBad(t *testing.T) {
 // decisions in order, tracks the sealed epoch, and still applies CEnd
 // markers to batched commits.
 func TestCoordLogBatchRoundTrip(t *testing.T) {
-	l, err := OpenCoordLog("", nil)
+	l, err := OpenCoordLog("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCoordLogBatchRoundTrip(t *testing.T) {
 // pending and asserts the surviving image decodes to the pre-batch
 // prefix — presumed abort for the whole torn epoch.
 func TestCoordLogBatchTornTail(t *testing.T) {
-	l, err := OpenCoordLog("", nil)
+	l, err := OpenCoordLog("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCoordLogBatchTornTail(t *testing.T) {
 // frame codec: old coord.log images boot without a migration, and a
 // replica's coordinator stream stays byte-exact.
 func TestCoordLogGolden(t *testing.T) {
-	l, err := OpenCoordLog("", nil)
+	l, err := OpenCoordLog("")
 	if err != nil {
 		t.Fatal(err)
 	}

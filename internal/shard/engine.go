@@ -57,26 +57,22 @@ type Options struct {
 	RecoverFrom *Image
 	// Suite receives all telemetry (default: a fresh obs.New()).
 	Suite *obs.Suite
-	// Ship, when non-nil, receives every newly durable byte range of
-	// every log — stream is the shard index, or Shards for the
-	// coordinator log — synchronously inside the durability barrier,
-	// before the committer is acked. This is the replication seam: a
-	// repl.Group attached here has delivered the bytes to every live
-	// replica by the time any client sees the commit acknowledged.
-	// Called under the owning log's mutex; must not call back into it.
-	Ship func(stream, seg, off int, data []byte)
 	// Epoch is the serving generation, forced into the coordinator log
-	// at boot (cRecEpoch) so it ships with the stream and survives
-	// restart. Zero means "epoch 1 if shipping, unbranded otherwise"; a
-	// promotion passes the predecessor's epoch + 1. Must exceed the
+	// at boot (cRecEpoch) so it replicates with the stream and survives
+	// restart. Zero leaves the log unbranded; a replicated primary
+	// passes 1, a promotion the predecessor's epoch + 1. Must exceed the
 	// recovered image's epoch when both are present.
 	Epoch uint64
 	// AckCheck, when non-nil, runs after a transaction commits and
 	// before its acknowledgment: a non-nil error withholds the ack (the
 	// commit may be durable, but the client must treat the outcome as
-	// unknown and retry). The lease gate and the semi-sync replication
-	// gate hang here — a primary whose lease expired or whose replica
-	// links are backed up keeps committing locally but stops promising.
+	// unknown and retry). The lease gate hangs here: a primary whose
+	// lease expired keeps committing locally but stops promising. So
+	// does the in-process follower gate (repl.Gate), which acks only
+	// once every follower has pulled the durable bytes. The TCP server
+	// wires the lease alone — it acks before its followers poll, so a
+	// write acked just before the primary dies can be missing from
+	// every follower.
 	AckCheck func() error
 	// Seq routes cross-shard commits through the deterministic ordered
 	// sequencer (internal/seq) instead of the mutex coordinator: GSNs
@@ -260,9 +256,6 @@ func New(opts Options) (_ *Engine, err error) {
 	durable := opts.WALDir != "" || opts.Durable
 	if durable {
 		e.epoch = opts.Epoch
-		if e.epoch == 0 && opts.Ship != nil {
-			e.epoch = 1
-		}
 		if prev := e.recovered.Epoch; e.epoch > 0 && prev >= e.epoch {
 			return nil, fmt.Errorf("shard: serving epoch %d does not exceed the recovered image's epoch %d",
 				e.epoch, prev)
@@ -311,15 +304,9 @@ func New(opts Options) (_ *Engine, err error) {
 			// outside every lock, after the CMT record is appended and
 			// before the client is acknowledged, so concurrent committers
 			// share one fsync.
-			var ship func(seg, off int, data []byte)
-			if opts.Ship != nil {
-				stream := i
-				ship = func(seg, off int, data []byte) { opts.Ship(stream, seg, off, data) }
-			}
 			log, err := wal.Open(wal.Options{
 				Dir: dir, SegmentBytes: opts.SegmentBytes, Policy: opts.SyncPolicy,
 				Chaos: inj, SyncObserver: suite.Metrics.WALSyncObserved,
-				OnDurable: ship,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: opening WAL: %w", i, err)
@@ -367,18 +354,13 @@ func New(opts Options) (_ *Engine, err error) {
 		if opts.WALDir != "" {
 			coordPath = filepath.Join(opts.WALDir, coordLogName)
 		}
-		var ship func(off int, data []byte)
-		if opts.Ship != nil {
-			stream := opts.Shards
-			ship = func(off int, data []byte) { opts.Ship(stream, 0, off, data) }
-		}
-		coord, err := OpenCoordLog(coordPath, ship)
+		coord, err := OpenCoordLog(coordPath)
 		if err != nil {
 			return nil, fmt.Errorf("shard: opening coordinator log: %w", err)
 		}
 		e.coord = coord
-		// Brand the serving epoch into the log so it ships with the
-		// stream and survives restart.
+		// Brand the serving epoch into the log so it replicates with
+		// the stream and survives restart.
 		if e.epoch > 0 {
 			if err := coord.AppendEpoch(e.epoch); err != nil {
 				return nil, fmt.Errorf("shard: branding epoch: %w", err)
@@ -458,8 +440,9 @@ func (e *Engine) CoordStream() int { return e.opts.Shards }
 // Fence marks this engine fenced off by a higher serving epoch: the
 // coordinator log refuses further decisions and Do refuses new (and
 // in-flight not-yet-acked) transactions with ErrFenced. Safe to call
-// from inside a ship callback — this is how a zombie primary learns of
-// its successor, from its replicas' refusals.
+// while transactions run — an ack gate calls it when a follower's
+// replica refuses this engine's epoch, which is how a zombie primary
+// learns of its successor.
 func (e *Engine) Fence(epoch uint64) {
 	if e.epoch > 0 && epoch <= e.epoch {
 		return
@@ -665,12 +648,12 @@ func (e *Engine) do(ops []Op, sess *sessInfo) ([]Result, uint32, error) {
 }
 
 // ackGate decides whether a locally committed transaction may be
-// acknowledged: not when the engine was fenced mid-flight (a replica
-// refused our ship inside this very commit's durability barrier — the
-// write may be in the local image, but that image is now a dead
-// branch), and not when the configured AckCheck (lease validity,
-// replica link backlog) says no. Either way the client is told "commit
-// state unknown" and retries; the session table makes the retry safe.
+// acknowledged: not when the engine was fenced mid-flight (a follower
+// refused our epoch — the write may be in the local image, but that
+// image is now a dead branch), and not when the configured AckCheck
+// (lease validity, follower catch-up) says no. Either way the client
+// is told "commit state unknown" and retries; the session table makes
+// the retry safe.
 func (e *Engine) ackGate() error {
 	if e.fenced.Load() {
 		return fmt.Errorf("%w: %w", ErrAckUnknown, ErrFenced)

@@ -143,7 +143,7 @@ func FuzzCrossShardCommitOrder(f *testing.F) {
 // prefix), and a re-encode of an untampered decode must round-trip.
 func FuzzCoordBatchDecode(f *testing.F) {
 	seedLog := func(batches ...BatchRec) []byte {
-		l, err := OpenCoordLog("", nil)
+		l, err := OpenCoordLog("")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func FuzzCoordBatchDecode(f *testing.F) {
 		// An intact image must round-trip exactly: re-encoding the
 		// decoded batches reproduces the same commit fold.
 		if cr.Truncated == nil && cr.Batches > 0 {
-			l, err := OpenCoordLog("", nil)
+			l, err := OpenCoordLog("")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,11 +33,18 @@ func TestSequential(t *testing.T) {
 // TestEarlyReleaseVisible: a reader observes a writer's uncommitted
 // value and becomes dependent; dependency forces commit ordering.
 func TestEarlyReleaseVisible(t *testing.T) {
-	earlyRelease(t, dep.New(4))
+	reg := spec.NewRegistry()
+	reg.Register("mem", adt.Register{})
+	m := dep.New(4)
+	m.Recorder = trace.NewRecorder(reg)
+	m.Recorder.Journal = true
+	earlyRelease(t, m)
 }
 
 // earlyRelease runs a writer that releases mem[0] = 77 early and a
-// reader that observes it before the writer commits.
+// reader that observes it before the writer commits. The commit order
+// is read from m's recorder, which must keep a journal: the certified
+// order, not when each goroutine got around to noting its return.
 func earlyRelease(t *testing.T, m *dep.Memory) {
 	t.Helper()
 	var stage sync.WaitGroup
@@ -45,9 +52,6 @@ func earlyRelease(t *testing.T, m *dep.Memory) {
 	var release sync.WaitGroup
 	release.Add(1)
 	var observed atomic.Int64
-	var writerCommitted atomic.Bool
-	var readerCommitted atomic.Bool
-	var orderOK atomic.Bool
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -64,7 +68,6 @@ func earlyRelease(t *testing.T, m *dep.Memory) {
 		if err != nil {
 			t.Error(err)
 		}
-		writerCommitted.Store(true)
 	}()
 	go func() { // reader: sees the speculative value, commits after writer
 		defer wg.Done()
@@ -81,16 +84,21 @@ func earlyRelease(t *testing.T, m *dep.Memory) {
 		if err != nil {
 			t.Error(err)
 		}
-		// The dependency must have delayed us past the writer's commit.
-		orderOK.Store(writerCommitted.Load())
-		readerCommitted.Store(true)
 	}()
 	wg.Wait()
 	if observed.Load() != 77 {
 		t.Fatalf("reader observed %d, want the early-released 77", observed.Load())
 	}
-	if !orderOK.Load() {
-		t.Fatal("reader committed before its dependency")
+	// The dependency must have delayed the reader past the writer's
+	// commit in the certified order.
+	pos := make(map[string]int)
+	for i, e := range m.Recorder.JournalEntries() {
+		pos[e.Name] = i
+	}
+	w, wok := pos["writer"]
+	r, rok := pos["reader"]
+	if !wok || !rok || r < w {
+		t.Fatalf("reader committed before its dependency: certified order %v", pos)
 	}
 }
 
@@ -239,6 +247,7 @@ func TestOpacityJudgedOnWholeRun(t *testing.T) {
 	reg.Register("mem", adt.Register{})
 	m := dep.New(4)
 	m.Recorder = trace.NewRecorder(reg)
+	m.Recorder.Journal = true
 	var events core.EventLog
 	m.Recorder.AttachSink(&events)
 

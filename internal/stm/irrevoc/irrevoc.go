@@ -252,7 +252,10 @@ func (m *Memory) commitOpt(name string, tx *Tx) error {
 			return m.certOps(tx), true
 		})
 		if refused != nil {
-			unlock(true, wv)
+			// The certifier refused what the protocol admitted: roll
+			// back, or the substrate would hold a value no certificate
+			// admits.
+			unlock(false, 0)
 			return fmt.Errorf("irrevoc: optimistic certification failed: %w", refused)
 		}
 		if !certified {

@@ -1,6 +1,7 @@
 package irrevoc_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -130,5 +131,61 @@ func TestIrrevocableSerializesWithItself(t *testing.T) {
 	wg.Wait()
 	if got := m.ReadNoTx(0); got != 200 {
 		t.Fatalf("counter = %d, want 200", got)
+	}
+}
+
+// TestRefusedCertificateRollsBack: a recorder attached after a commit
+// it never saw disagrees with the substrate about word 0, so the next
+// optimistic commit reading word 0 is refused by the certifier. The
+// refusal must roll back: its write is never read back, the substrate
+// equals its state before the refusal overlaid with the certified
+// journal, and a later blind write to the same word certifies.
+func TestRefusedCertificateRollsBack(t *testing.T) {
+	m := irrevoc.New(4)
+	if err := m.Atomic("unrecorded", func(tx *irrevoc.Tx) error { return tx.Write(0, 5) }); err != nil {
+		t.Fatal(err)
+	}
+	base := make([]int64, 4)
+	for a := range base {
+		base[a] = m.ReadNoTx(a)
+	}
+	reg := spec.NewRegistry()
+	reg.Register("mem", adt.Register{})
+	m.Recorder = trace.NewRecorder(reg)
+	m.Recorder.Journal = true
+
+	err := m.Atomic("stale", func(tx *irrevoc.Tx) error {
+		v, err := tx.Read(0)
+		if err != nil {
+			return err
+		}
+		return tx.Write(1, v+1)
+	})
+	var v trace.Violation
+	if !errors.As(err, &v) || v.Txn != "stale" {
+		t.Fatalf("refused commit returned %v, want its own violation", err)
+	}
+	if got := m.ReadNoTx(1); got != 0 {
+		t.Fatalf("refused write is visible: word 1 = %d", got)
+	}
+	want := append([]int64(nil), base...)
+	for _, e := range m.Recorder.JournalEntries() {
+		for _, op := range e.Ops {
+			if op.Method == "write" {
+				want[op.Args[0]] = op.Args[1]
+			}
+		}
+	}
+	for a := range want {
+		if got := m.ReadNoTx(a); got != want[a] {
+			t.Fatalf("word %d: substrate %d, certified %d", a, got, want[a])
+		}
+	}
+
+	if err := m.Atomic("after", func(tx *irrevoc.Tx) error { return tx.Write(1, 7) }); err != nil {
+		t.Fatalf("blind write after the refusal: %v", err)
+	}
+	if got := m.ReadNoTx(1); got != 7 {
+		t.Fatalf("word 1 = %d after the certified write, want 7", got)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // the synced prefix, and an optional backing file. A Log is a sequence
 // of Segments; the coordinator journal is a single one. Both therefore
 // share one durability discipline — what Sync made durable is what a
-// simulated crash (Kill) keeps, what DurableAt serves a tailer, and
-// what the ship callback has already seen.
+// simulated crash (Kill) keeps and what DurableAt serves a tailer.
 type Segment struct {
 	mu      sync.Mutex
 	path    string
@@ -20,22 +19,19 @@ type Segment struct {
 	buf     []byte
 	durable int
 	crashed bool
+	// image is what a simulated crash left on "disk" (set once crashed).
+	image []byte
 	// frames counts appended frames; durableFrames is frames at the
 	// last sync — the records provably inside the durable prefix.
 	frames, durableFrames uint64
-	ship                  func(off int, data []byte)
 }
 
 // OpenSegment creates a segment holding header. An empty path keeps it
 // in memory (the simulated crash controls exactly which bytes "reached
 // disk" either way); otherwise the file is created and must not exist.
-// Nothing is durable until the first Sync. ship, when non-nil,
-// receives every newly durable byte range (offset from the segment
-// start, and a copy of the bytes) inside the sync, before it returns —
-// the replication seam. It runs under the segment's mutex and must not
-// call back into the segment.
-func OpenSegment(path string, header []byte, ship func(off int, data []byte)) (*Segment, error) {
-	s := &Segment{path: path, buf: append([]byte(nil), header...), ship: ship}
+// Nothing is durable until the first Sync.
+func OpenSegment(path string, header []byte) (*Segment, error) {
+	s := &Segment{path: path, buf: append([]byte(nil), header...)}
 	if path != "" {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -80,8 +76,8 @@ func (s *Segment) writeLocked(frame []byte) error {
 	return nil
 }
 
-// syncLocked makes every written byte durable and ships it; flushed
-// reports whether there was anything to flush.
+// syncLocked makes every written byte durable; flushed reports whether
+// there was anything to flush.
 func (s *Segment) syncLocked() (flushed bool, err error) {
 	if s.durable == len(s.buf) {
 		return false, nil
@@ -91,12 +87,8 @@ func (s *Segment) syncLocked() (flushed bool, err error) {
 			return false, err
 		}
 	}
-	prev := s.durable
 	s.durable = len(s.buf)
 	s.durableFrames = s.frames
-	if s.ship != nil {
-		s.ship(prev, append([]byte(nil), s.buf[prev:]...))
-	}
 	return true, nil
 }
 
@@ -121,13 +113,14 @@ func (s *Segment) Kill() {
 	}
 }
 
-// crashLocked freezes the segment at image (the durable prefix, or a
-// crash mode's torn or flipped variant of it) and mirrors the image
-// onto the backing file.
+// crashLocked freezes the segment: image (the durable prefix, or a
+// crash mode's torn or flipped variant of it) is what Image returns and
+// what the backing file is left holding. A tailer is still served the
+// durable prefix — the dead process's torn or flipped tail stays on its
+// own disk.
 func (s *Segment) crashLocked(image []byte) {
 	s.crashed = true
-	s.buf = image
-	s.durable = len(image)
+	s.image = image
 	if s.file != nil {
 		s.file.Close()
 		s.file = nil
@@ -147,6 +140,9 @@ func (s *Segment) Crashed() bool {
 func (s *Segment) Image() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.crashed {
+		return append([]byte(nil), s.image...)
+	}
 	return append([]byte(nil), s.buf...)
 }
 
@@ -161,9 +157,10 @@ func (s *Segment) DurableRecords() uint64 {
 
 // DurableAt reads up to max durable bytes starting at byte offset off
 // (header included) — the pull side of tailing; more reports durable
-// bytes past the returned ones. A crashed segment still serves its
-// frozen durable image. An offset beyond the durable watermark is a
-// caller bug (a tailer ahead of its source) and returns an error.
+// bytes past the returned ones. A crashed segment still serves the
+// prefix it made durable before dying, not its crash image. An offset
+// beyond the durable watermark is a caller bug (a tailer ahead of its
+// source) and returns an error.
 func (s *Segment) DurableAt(off, max int) (data []byte, more bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,8 +7,8 @@
 //
 // It is also the repository's one log codec: the frame format and its
 // total decoder (frame.go) and the durable append-only Segment — bytes,
-// a durable watermark, an optional file, the replication ship seam —
-// serve both the shard WALs and the cross-shard coordinator journal.
+// a durable watermark, an optional file, the tailing read replication
+// polls — serve both the shard WALs and the cross-shard coordinator journal.
 //
 // Two sync policies: SyncOnCommit (the default) forces the log at each
 // commit barrier, so an acknowledged commit is durable; SyncNever acks
@@ -101,17 +101,6 @@ type Options struct {
 	// to flush) — the telemetry seam for WAL sync-latency histograms.
 	// Called under the log mutex; must not call back into the log.
 	SyncObserver func(time.Duration)
-	// OnDurable, when non-nil, receives every newly durable byte range
-	// — segment index, starting offset (header bytes included), and a
-	// copy of the bytes — inside the durability barrier, before the
-	// barrier returns to the committer. This is the replication ship
-	// seam: anything a client sees acknowledged as durable has already
-	// passed through OnDurable, so synchronous shipping at this seam
-	// makes "no acknowledged commit is lost on failover" structural.
-	// Simulated crashes never ship (the dead process's torn/flipped
-	// tail stays local). Called under the log mutex; must not call back
-	// into the log.
-	OnDurable func(seg, off int, data []byte)
 }
 
 func (o Options) withDefaults() Options {
@@ -179,11 +168,7 @@ func (l *Log) rotate() error {
 	if l.opts.Dir != "" {
 		path = filepath.Join(l.opts.Dir, fmt.Sprintf("wal-%05d.seg", index))
 	}
-	var ship func(off int, data []byte)
-	if fn := l.opts.OnDurable; fn != nil {
-		ship = func(off int, data []byte) { fn(index, off, data) }
-	}
-	seg, err := OpenSegment(path, SegmentHeader(index), ship)
+	seg, err := OpenSegment(path, SegmentHeader(index))
 	if err != nil {
 		return err
 	}
@@ -304,7 +289,8 @@ func (l *Log) CommitBarrier() error {
 //	         bytes including the in-flight record — a torn write;
 //	bitflip: the synced prefix with one bit flipped — latent corruption.
 //
-// The kept count, torn length and flip offset derive from the plan seed
+// The image is the disk's: the segment still serves tailers its synced
+// prefix. The kept count, torn length and flip offset derive from the plan seed
 // via Hash01, so the whole post-crash image replays from the printed
 // plan. Called with mu and cur.mu held.
 func (l *Log) crashLocked(cur *Segment, inflight []byte) {
@@ -313,7 +299,7 @@ func (l *Log) crashLocked(cur *Segment, inflight []byte) {
 	if l.opts.Chaos != nil {
 		plan = l.opts.Chaos.Plan()
 	}
-	img := cur.buf[:cur.durable]
+	img := append([]byte(nil), cur.buf[:cur.durable]...)
 	switch plan.CrashMode {
 	case chaos.CrashTorn:
 		lost := append(append([]byte(nil), cur.buf[cur.durable:]...), inflight...)
@@ -354,7 +340,7 @@ func (l *Log) crashLocked(cur *Segment, inflight []byte) {
 			keep = len(ends)
 		}
 		if keep > 0 {
-			img = cur.buf[:cur.durable+ends[keep-1]]
+			img = append(img, cur.buf[cur.durable:cur.durable+ends[keep-1]]...)
 		}
 	}
 	cur.crashLocked(img)
